@@ -8,7 +8,7 @@ and cofactor algorithms (fastsubres), the principal-subresultant schedule
 """
 
 from . import errors
-from .combinat import binomial, falling_product, pochhammer
+from .combinat import binomial, factorial_ratio, falling_product, pochhammer
 from .fastsubres import (
     Basis,
     CharCase,
@@ -61,6 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "errors",
     "binomial",
+    "factorial_ratio",
     "falling_product",
     "pochhammer",
     "Basis",

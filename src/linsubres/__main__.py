@@ -1,0 +1,8 @@
+"""`python -m linsubres ...`: the same CLI as the `linsubres` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

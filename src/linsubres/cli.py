@@ -18,6 +18,7 @@ import math
 import random
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -338,6 +339,25 @@ def _parse_int_list(text: str, what: str):
     return values
 
 
+@contextmanager
+def uncapped_int_str():
+    """Lift the interpreter's int-to-str digit cap for the block.
+
+    Exact results over Q outgrow the default 4300 digits at moderate sizes
+    (m = n = 256 already), so output is built inside this block; input is
+    parsed outside it and stays capped, since the cap guards parsing
+    against quadratic-time denial of service."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def cmd_compute(args) -> int:
     descriptor = parse_field_spec(args.field)
     alpha = descriptor.from_str(args.alpha)
@@ -347,11 +367,12 @@ def cmd_compute(args) -> int:
         result = sres_bernstein(spec)
     else:
         result = sres_fast(spec)
-    payload = result_to_json(result)
-    if args.cofactors:
-        pair = cofactors(spec)
-        payload["cofactors"] = {"f": poly_to_json(pair.f), "g": poly_to_json(pair.g)}
-    print(json.dumps(payload))
+    pair = cofactors(spec) if args.cofactors else None
+    with uncapped_int_str():
+        payload = result_to_json(result)
+        if pair is not None:
+            payload["cofactors"] = {"f": poly_to_json(pair.f), "g": poly_to_json(pair.g)}
+        print(json.dumps(payload))
     return EXIT_OK
 
 
@@ -361,16 +382,17 @@ def cmd_psres(args) -> int:
     beta = descriptor.from_str(args.beta)
     with count_ops() as counter:
         values = psres_all(args.m, args.n, alpha, beta)
-    payload = {
-        "m": args.m,
-        "n": args.n,
-        "alpha": str(alpha),
-        "beta": str(beta),
-        "field": descriptor.spec_string(),
-        "psres": [str(v) for v in values],
-        "ops": counter.as_dict(),
-    }
-    print(json.dumps(payload))
+    with uncapped_int_str():
+        payload = {
+            "m": args.m,
+            "n": args.n,
+            "alpha": str(alpha),
+            "beta": str(beta),
+            "field": descriptor.spec_string(),
+            "psres": [str(v) for v in values],
+            "ops": counter.as_dict(),
+        }
+        print(json.dumps(payload))
     return EXIT_OK
 
 

@@ -2,13 +2,19 @@
 
 Integer parameters stay in Z; only the values that enter the arithmetic
 are injected into the field, so the operation counts reported by the
-algorithms reflect actual field work.
+algorithms reflect actual field work.  factorial_ratio is the exception:
+it computes an exact rational on Python ints, for the Q routes that
+replace a ratio chain of field operations by one product of factorials.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import accumulate
+from math import isqrt
+
 from .errors import CharacteristicError
-from .field import FieldDescriptor, FieldValue, inject_nonzero
+from .field import FieldDescriptor, FieldValue
 
 
 def binomial(k: int, l: int, descriptor: FieldDescriptor) -> FieldValue:
@@ -69,4 +75,66 @@ def falling_product(top: int, count: int, descriptor: FieldDescriptor) -> FieldV
     return acc
 
 
-__all__ = ["binomial", "pochhammer", "falling_product", "inject_nonzero"]
+def factorial_ratio(numerator, denominator) -> Fraction:
+    """The exact rational  prod a! (a in the numerator ranges)
+    / prod b! (b in the denominator ranges),  in lowest terms.
+
+    Each argument is an iterable of unit-step ranges of nonnegative
+    factorial arguments.  The multiplicity of every k in the merged
+    product is a suffix sum over a difference array of the ranges, so
+    counting is O(N) for N the largest argument; a smallest-prime-factor
+    sieve (built per call) pushes each composite's count onto its factors,
+    which leaves Legendre's prime exponents; the prime powers are then
+    multiplied in a balanced product tree.  Multiplying the factorials out
+    instead is an order of magnitude slower.
+    """
+    spans = [(r, 1) for r in numerator] + [(r, -1) for r in denominator]
+    for r, _ in spans:
+        if not isinstance(r, range) or r.step != 1 or (r and r.start < 0):
+            raise ValueError(f"factorial arguments must be unit-step ranges of "
+                             f"nonnegative integers, got {r!r}")
+    top = max((r.stop for r, _ in spans if r), default=1)
+    diff = [0] * (top + 1)
+    for r, sign in spans:
+        if r:
+            diff[r.start] += sign
+            diff[r.stop] -= sign
+    factorials = list(accumulate(diff[:top]))  # signed count of each a!
+    # exponent[k]: how often k occurs as a factor, the signed count of the
+    # a! with a >= k
+    exponent = list(accumulate(reversed(factorials)))[::-1]
+    # spf[k]: smallest prime factor of k; smaller primes overwrite larger
+    spf = list(range(top))
+    small = [p for p in range(2, isqrt(top - 1) + 1)
+             if all(p % q for q in range(2, isqrt(p) + 1))]
+    for p in reversed(small):
+        spf[p * p::p] = [p] * len(range(p * p, top, p))
+    # move each composite's exponent onto spf[k] and k // spf[k], both
+    # smaller than k, so one downward pass leaves only prime exponents
+    for k in range(top - 1, 3, -1):
+        p = spf[k]
+        if p != k and exponent[k]:
+            exponent[p] += exponent[k]
+            exponent[k // p] += exponent[k]
+    num, den = [], []
+    for p in range(2, top):
+        e = exponent[p]
+        if spf[p] == p and e:
+            (num if e > 0 else den).append(pow(p, abs(e)))
+    if den:
+        return Fraction(_product_tree(num), _product_tree(den))
+    return Fraction(_product_tree(num))
+
+
+def _product_tree(factors: list) -> int:
+    """Product of the list by pairwise rounds, so that the big
+    multiplications meet operands of similar size."""
+    while len(factors) > 1:
+        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0] if factors else 1
+
+
+__all__ = ["binomial", "pochhammer", "falling_product", "factorial_ratio"]

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
-from .combinat import binomial, falling_product
+from .combinat import binomial, factorial_ratio, falling_product
 from .errors import (
     BasisMismatch,
     CharacteristicError,
@@ -27,6 +28,7 @@ from .field import (
     binary_pow,
     char_of,
     count_ops,
+    credit_ops,
     inject_nonzero,
     parse_field_spec,
 )
@@ -146,15 +148,28 @@ def _require_generic(spec: ProblemSpec, case: CharCase, what: str) -> None:
         )
 
 
+def _credit_ratio_chain(falling: int, small: int, steps: int, seed_divs: int = 0) -> None:
+    """Credit the tally of a FieldValue ratio chain that the Q route
+    replaces by factorial_ratio: the seed falling_product(falling, falling)
+    * binomial (min argument `small`), `seed_divs` more divisions of the
+    seed, then `steps` updates r = r * num / den, product = product * r."""
+    credit_ops(muls=max(falling - 1, 0) + small + 1 + 2 * steps,
+               divs=small + seed_divs + steps)
+
+
 def leading_coefficient_sd(spec: ProblemSpec) -> FieldValue:
     """The principal subresultant
 
         s_d = (alpha-beta)^((m-d)(n-d)) * prod_{i=1}^{d} r_i,
-        r_i = (i-1)! (m+n-d-i)! / ((m-i)! (n-i)!),
+        r_i = (i-1)! (m+n-d-i)! / ((m-i)! (n-i)!).
 
-    via the downward ratio chain r_d = (d-1)! C(m+n-2d, m-d) and
-    r_i = r_{i+1} (m+n-d-i) / (i (m-i) (n-i)).  Nonzero by construction.
-    O(min(m, n) + log(mn)) operations.  Generic case and alpha != beta only.
+    Over F_p the product runs the downward ratio chain
+    r_d = (d-1)! C(m+n-2d, m-d), r_i = r_{i+1} (m+n-d-i) / (i (m-i) (n-i)).
+    Over Q it is one exact integer from factorial_ratio (prime exponents
+    and a product tree), and the active count_ops scopes are credited with
+    the chain's tally, so the op count is the same on both routes.
+    Nonzero by construction.  O(min(m, n) + log(mn)) operations.  Generic
+    case and alpha != beta only.
     """
     case = classify(spec)
     _require_generic(spec, case, "the principal subresultant closed form")
@@ -165,6 +180,11 @@ def leading_coefficient_sd(spec: ProblemSpec) -> FieldValue:
     power = binary_pow(delta, (m - d) * (n - d))
     if d == 0:
         return power
+    if descriptor.characteristic == 0:
+        _credit_ratio_chain(d - 1, min(m - d, n - d), d - 1)
+        seed = factorial_ratio([range(d), range(m + n - 2 * d, m + n - d)],
+                               [range(m - d, m), range(n - d, n)])
+        return power * descriptor.element(seed)
     r = falling_product(d - 1, d - 1, descriptor) * binomial(m - d, n - d, descriptor)
     product = r
     for i in range(d - 1, 0, -1):
@@ -173,6 +193,28 @@ def leading_coefficient_sd(spec: ProblemSpec) -> FieldValue:
         r = r * numerator / denominator
         product = product * r
     return power * product
+
+
+def _recurrence_over_z(m: int, n: int, d: int, alpha: int, beta: int, top: int) -> list:
+    """sres_fast's downward recurrence on Python ints, for integer roots:
+    every s_t is an integer, so the division is an exact //.  Credits the
+    tally the FieldValue loop records, whose s_{t+2} term is skipped when
+    s_{t+2} = 0."""
+    out = [0] * (d + 1)
+    out[d] = top
+    alpha_beta = alpha * beta
+    above, above2 = top, 0
+    full = 0
+    for t in range(d - 1, -1, -1):
+        acc = ((n - t - 1) * alpha + (m - t - 1) * beta) * above
+        if above2:
+            acc += (t + 2) * alpha_beta * above2
+            full += 1
+        value = -(acc * (t + 1) // ((d - t) * (m + n - d - t - 1)))
+        out[t] = value
+        above2, above = above, value
+    credit_ops(adds=d + full, muls=1 + 4 * d + 2 * full, divs=d, negs=d)
+    return out
 
 
 def sres_fast(spec: ProblemSpec) -> SubresResult:
@@ -187,6 +229,8 @@ def sres_fast(spec: ProblemSpec) -> SubresResult:
 
     O(min(m, n) + d + log(mn)) operations total.  Boundary case: the single
     constant (-1)^(md) (alpha-beta)^((m-d)(n-d)+d).  Vanishing band: zeros.
+    Over Q with integer alpha and beta the recurrence runs on Python ints
+    (_recurrence_over_z), with the same op count.
     """
     with count_ops() as counter:
         case = classify(spec)
@@ -204,6 +248,16 @@ def sres_fast(spec: ProblemSpec) -> SubresResult:
             coeffs = (value,)
         elif d == 0:
             coeffs = (leading_coefficient_sd(spec),)
+        elif descriptor.characteristic == 0 and (
+            spec.alpha.payload.denominator == spec.beta.payload.denominator == 1
+        ):
+            top = leading_coefficient_sd(spec).payload.numerator
+            coeffs = tuple(
+                FieldValue(descriptor, Fraction(v))
+                for v in _recurrence_over_z(
+                    m, n, d, spec.alpha.payload.numerator, spec.beta.payload.numerator, top
+                )
+            )
         else:
             out = [descriptor.zero] * (d + 1)
             out[d] = leading_coefficient_sd(spec)
@@ -247,6 +301,8 @@ def sres_bernstein(spec: ProblemSpec) -> SubresResult:
 
         c_j = c_{j-1} (d-j+1)(n-d+j-1) / (j (m-j)).
 
+    Over Q, c_0 comes from factorial_ratio and the c_j chain runs on
+    Python ints with exact //, crediting the FieldValue chains' op count.
     O(min(m, n) + d + log(mn)) operations.  Generic case only.
     """
     with count_ops() as counter:
@@ -259,6 +315,16 @@ def sres_bernstein(spec: ProblemSpec) -> SubresResult:
         prefactor = binary_pow(delta, (m - d) * (n - d))
         if d == 0:
             coeffs = (descriptor.one,)
+        elif descriptor.characteristic == 0:
+            _credit_ratio_chain(d - 1, min(m - d - 1, n - d), d - 1)
+            credit_ops(muls=d, divs=d)
+            c = factorial_ratio([range(d), range(m + n - 2 * d - 1, m + n - d - 1)],
+                                [range(m - d - 1, m - 1), range(n - d, n)]).numerator
+            out = [c]
+            for j in range(1, d + 1):
+                c = c * ((d - j + 1) * (n - d + j - 1)) // (j * (m - j))
+                out.append(c)
+            coeffs = tuple(FieldValue(descriptor, Fraction(v)) for v in out)
         else:
             b = falling_product(d - 1, d - 1, descriptor) * binomial(
                 m - d - 1, n - d, descriptor
@@ -321,7 +387,8 @@ def cofactors(spec: ProblemSpec) -> CofactorPair:
         G = (-1)^(m+d+1) delta^((m-d-1)(n-d-1)) T * [pair basis of P_{m-d-1}^{(n,-m)}],
 
     where T = prod_{i=1}^{d} i! (m+n-d-i-1)! / ((m-i)! (n-i)!) comes from a
-    ratio chain seeded at t_d = d! C(m+n-2d-1, m-d) / (n-d).  Boundary
+    ratio chain seeded at t_d = d! C(m+n-2d-1, m-d) / (n-d) (over Q:
+    factorial_ratio, crediting the chain's op count).  Boundary
     case: monomial closed forms (+-delta^((m-d-1)(n-d-1)) times a power of
     x-alpha or x-beta).  Vanishing band: (0, 0).
     """
@@ -353,7 +420,13 @@ def cofactors(spec: ProblemSpec) -> CofactorPair:
             g_cof = -g_cof
         return CofactorPair(spec=spec, f=f_cof, g=g_cof, case=case)
     t_product = descriptor.one
-    if d >= 1:
+    if d >= 1 and p == 0:
+        _credit_ratio_chain(d, min(m - d, n - d - 1), d - 1, seed_divs=1)
+        t_product = descriptor.element(
+            factorial_ratio([range(1, d + 1), range(m + n - 2 * d - 1, m + n - d - 1)],
+                            [range(m - d, m), range(n - d, n)])
+        )
+    elif d >= 1:
         t = (
             falling_product(d, d, descriptor)
             * binomial(m - d, n - d - 1, descriptor)

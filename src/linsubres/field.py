@@ -28,6 +28,8 @@ __all__ = [
     "OpCounter",
     "count_ops",
     "binary_pow",
+    "binary_pow_muls",
+    "credit_ops",
     "char_of",
     "rationals",
     "prime_field",
@@ -48,7 +50,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if p == q:
             return True
         if p % q == 0:
@@ -69,17 +71,6 @@ def _is_prime(p: int) -> bool:
         else:
             return False
     return True
-
-
-def _inv_mod(a: int, p: int) -> int:
-    # Extended Euclid.  Counted by the caller as a single division.
-    old_r, r = a, p
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    return old_s % p
 
 
 class OpCounter:
@@ -140,6 +131,16 @@ def count_ops() -> Iterator[OpCounter]:
         yield counter
     finally:
         _counters.reset(token)
+
+
+def credit_ops(adds: int = 0, muls: int = 0, divs: int = 0, negs: int = 0) -> None:
+    """Add a tally to every active scope, for work done outside FieldValue
+    arithmetic that stands for exactly those field operations."""
+    for c in _counters.get():
+        c.adds += adds
+        c.muls += muls
+        c.divs += divs
+        c.negs += negs
 
 
 Payload = Union[Fraction, int]
@@ -289,7 +290,7 @@ class FieldValue:
         d = self.descriptor
         if d.modulus is None:
             return FieldValue(d, self.payload / other.payload)
-        return FieldValue(d, self.payload * _inv_mod(other.payload, d.modulus) % d.modulus)
+        return FieldValue(d, self.payload * pow(other.payload, -1, d.modulus) % d.modulus)
 
     def __neg__(self) -> "FieldValue":
         for c in _counters.get():
@@ -376,6 +377,11 @@ def binary_pow(base: FieldValue, exponent: int) -> FieldValue:
             break
         base = base * base
     return base.descriptor.one if result is None else result
+
+
+def binary_pow_muls(exponent: int) -> int:
+    """The number of multiplications binary_pow(base, exponent) performs."""
+    return max(exponent.bit_length() - 1, 0) + max(bin(exponent).count("1") - 1, 0)
 
 
 def inject_nonzero(descriptor: FieldDescriptor, n: int, what: str) -> FieldValue:

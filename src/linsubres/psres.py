@@ -3,15 +3,41 @@
 The values s_0, ..., s_{min(m,n)-1} factor through two coupled product
 chains, one rational in (m, n) only and one in powers of alpha - beta, so
 the whole vector costs O(min(m, n) + log(mn)) field operations.
+
+Over F_p, and over Q when alpha - beta is not an integer, psres_all takes
+the values from psres_schedule, which multiplies the two chains index by
+index.  Over Q with an integer delta = alpha - beta that costs a big-number
+product per index, so psres_all instead runs one downward chain on Python
+ints: s_{low-1} = c(low-1) delta^((m-low+1)(n-low+1)), with c(low-1) from
+factorial_ratio, then
+
+    s_{i-1} = s_i // num(u_i) * delta^(m+n-2i+1) * den(u_i),
+
+where u_i = c(i)/c(i-1) is the schedule's small ratio, in lowest terms.
+The division is exact: c(i) and c(i-1) are integers (the principal
+subresultants at delta = 1), so num(u_i) divides c(i), which divides
+s_i = c(i) delta^((m-i)(n-i)).  The active count_ops scopes are
+credited with psres_schedule's tally, so the op count is the same on
+both routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import comb
 
-from .combinat import binomial
+from .combinat import binomial, factorial_ratio
 from .errors import CharacteristicError, FieldMismatch, PreconditionError
-from .field import FieldValue, binary_pow, char_of, inject_nonzero
+from .field import (
+    FieldDescriptor,
+    FieldValue,
+    binary_pow,
+    binary_pow_muls,
+    char_of,
+    credit_ops,
+    inject_nonzero,
+)
 from .poly import ProblemSpec
 
 __all__ = ["PsresSchedule", "psres_schedule", "psres_all", "psres_single"]
@@ -45,8 +71,7 @@ class PsresSchedule:
     values: tuple
 
 
-def psres_schedule(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> PsresSchedule:
-    """Build the full schedule.  Needs characteristic 0 or >= m + n."""
+def _check_args(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> FieldDescriptor:
     for name, value in (("m", m), ("n", n)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise PreconditionError(f"{name} must be an int >= 1, got {value!r}")
@@ -61,6 +86,12 @@ def psres_schedule(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> Psres
             f"the principal subresultant schedule needs characteristic 0 "
             f"or >= m + n = {m + n}, have {p}"
         )
+    return descriptor
+
+
+def psres_schedule(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> PsresSchedule:
+    """Build the full schedule.  Needs characteristic 0 or >= m + n."""
+    descriptor = _check_args(m, n, alpha, beta)
     low = min(m, n)
     if alpha == beta:
         return PsresSchedule(
@@ -105,7 +136,48 @@ def psres_schedule(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> Psres
 
 def psres_all(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> list:
     """[s_0, ..., s_{min(m,n)-1}] in O(min(m,n) + log(mn)) operations."""
+    descriptor = _check_args(m, n, alpha, beta)
+    delta = alpha.payload - beta.payload
+    if descriptor.characteristic == 0 and delta and delta.denominator == 1:
+        return [FieldValue(descriptor, Fraction(s))
+                for s in _downward_over_z(m, n, delta.numerator)]
     return list(psres_schedule(m, n, alpha, beta).values)
+
+
+def _downward_over_z(m: int, n: int, delta: int) -> list:
+    """The principal subresultants for an integer delta != 0, by the
+    downward integer chain of the module docstring."""
+    low = min(m, n)
+    top = low - 1
+    u = []
+    if low >= 2:
+        u.append(Fraction(comb(m + n - 2, m - 1)))
+        for d in range(1, low - 1):
+            u.append(u[-1] * Fraction(
+                d * (m - d) * (n - d) * (m + n - d),
+                (m + n - 2 * d - 1) * (m + n - 2 * d) ** 2 * (m + n - 2 * d + 1),
+            ))
+    s = factorial_ratio([range(top), range(m + n - 2 * top, m + n - top)],
+                        [range(m - top, m), range(n - top, n)]).numerator
+    s *= delta ** ((m - top) * (n - top))
+    values = [0] * low
+    values[top] = s
+    step = delta ** (m + n - 2 * top + 1)
+    delta_sq = delta * delta
+    for i in range(top, 0, -1):
+        s = s // u[i - 1].numerator * (step * u[i - 1].denominator)
+        values[i - 1] = s
+        step *= delta_sq
+    # psres_schedule's tally: delta, the powers seeding h and gamma, the
+    # c and h chains and the values; for low >= 2 also the binomial
+    # seeding u, the v, u and gamma chains, 1/delta^(m+n-1) and delta^2
+    muls, divs = binary_pow_muls(m * n) + 3 * low - 2, 0
+    if low >= 2:
+        small = min(m - 1, n - 1)
+        muls += small + 2 * (low - 2) + binary_pow_muls(m + n - 1) + 1
+        divs += (low - 2) + small + 1
+    credit_ops(adds=1, muls=muls, divs=divs)
+    return values
 
 
 def psres_single(spec: ProblemSpec) -> FieldValue:

@@ -3,14 +3,21 @@
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from linsubres import cli
 from linsubres.cli import CSV_HEADER, BenchRow, main, run_bench, run_verify
-from linsubres.field import prime_field
+from linsubres.fastsubres import leading_coefficient_sd
+from linsubres.field import prime_field, rationals
+from linsubres.poly import ProblemSpec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_json(capsys, argv):
@@ -249,4 +256,34 @@ def test_console_script_installed():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0
+    assert json.loads(proc.stdout)["coeffs"] == ["1", "-2"]
+
+
+def test_q_output_past_the_int_str_limit(capsys):
+    """Coefficients over 4300 digits serialise; the cap is restored after."""
+    cap = sys.get_int_max_str_digits()
+    argv = ["compute", "--m=256", "--n=256", "--d=128", "--alpha=1", "--beta=2"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert sys.get_int_max_str_digits() == cap
+    Q = rationals()
+    top = leading_coefficient_sd(ProblemSpec(256, 256, 128, Q.element(1), Q.element(2)))
+    with cli.uncapped_int_str():
+        assert len(str(top.payload)) > 4300
+        assert json.loads(out)["coeffs"][-1] == str(top.payload)
+
+
+def test_input_past_the_int_str_limit_is_a_usage_error(capsys):
+    assert main(["compute", "--m=4", "--n=3", "--d=1", "--alpha=" + "7" * 5000,
+                 "--beta=2"]) == 2
+    assert "cannot parse" in capsys.readouterr().err
+
+
+def test_python_dash_m_linsubres():
+    proc = subprocess.run(
+        [sys.executable, "-m", "linsubres", "compute", "--m", "2", "--n", "2", "--d", "1",
+         "--alpha", "0", "--beta", "1"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["coeffs"] == ["1", "-2"]

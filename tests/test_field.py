@@ -1,5 +1,6 @@
 """Field arithmetic, canonical forms, and operation counting."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -215,3 +216,26 @@ def test_negation_counts_separately(a):
 def test_field_value_repr_mentions_field():
     assert "fp:7" in repr(F7.element(3))
     assert isinstance(F7.element(3), FieldValue)
+
+
+def _inverse_by_extended_euclid(a: int, p: int) -> int:
+    old_r, r = a, p
+    old_s, s = 1, 0
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+    return old_s % p
+
+
+@pytest.mark.parametrize("p", [7, 10007, 1000003, 2**61 - 1, 2**64 - 59])
+def test_division_matches_the_extended_euclid_inverse(p):
+    F = prime_field(p)
+    rng = random.Random(p)
+    samples = [1, 2, p - 1] + [rng.randrange(1, p) for _ in range(200)]
+    for a in samples:
+        b = rng.randrange(p)
+        with count_ops() as counter:
+            quotient = F.element(b) / F.element(a)
+        assert quotient.payload == b * _inverse_by_extended_euclid(a, p) % p
+        assert (counter.divs, counter.muls) == (1, 0)

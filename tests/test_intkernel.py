@@ -1,0 +1,213 @@
+"""The exact-integer Q routes: factorial_ratio, the integer recurrence,
+the downward psres chain, and the op counts they credit.
+
+Over Q the four entry points compute their seeds and chains on Python ints
+instead of FieldValue arithmetic.  These tests hold them to the determinant
+oracle, to the F_p route mod a large prime, to psres_schedule, and to the
+op counts the FieldValue route records.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from linsubres.combinat import factorial_ratio
+from linsubres.fastsubres import (
+    bernstein_to_monomial,
+    cofactors,
+    leading_coefficient_sd,
+    sres_bernstein,
+    sres_fast,
+)
+from linsubres.field import count_ops, parse_field_spec, prime_field, rationals
+from linsubres.poly import ProblemSpec, power_of_linear, psres_oracle, sres_oracle
+from linsubres.psres import psres_all, psres_schedule
+
+Q = rationals()
+P61 = 2**61 - 1
+F61 = prime_field(P61)
+
+
+def _tally(counter):
+    return (counter.adds, counter.muls, counter.divs, counter.negs)
+
+
+def _entry_tallies(spec):
+    """(adds, muls, divs, negs) of sres_fast, sres_bernstein, cofactors and
+    psres_all on one spec."""
+    with count_ops() as cof:
+        cofactors(spec)
+    with count_ops() as ps:
+        psres_all(spec.m, spec.n, spec.alpha, spec.beta)
+    return [_tally(sres_fast(spec).op_count), _tally(sres_bernstein(spec).op_count),
+            _tally(cof), _tally(ps)]
+
+
+def _roots(descriptor, a, b):
+    return descriptor.from_str(str(a)), descriptor.from_str(str(b))
+
+
+def _mod_p(value: Fraction) -> int:
+    return value.numerator * pow(value.denominator, -1, P61) % P61
+
+
+def _inject_p(text: str):
+    value = Fraction(text)
+    return F61.element(value.numerator) / F61.element(value.denominator)
+
+
+# Op counts recorded from the FieldValue-only implementation (before the
+# integer routes) for alpha = 3, beta = -2; the same on every field here,
+# and for the rational roots below.  Columns: sres_fast, sres_bernstein,
+# cofactors, psres_all.
+RECORDED_OPS = {
+    (1, 1, 0): [(1, 0, 0, 0), (1, 0, 0, 0), (1, 3, 0, 5), (1, 1, 0, 0)],
+    (4, 3, 2): [(4, 17, 4, 2), (1, 7, 4, 0), (7, 16, 4, 6), (1, 19, 4, 0)],
+    (5, 5, 0): [(1, 6, 0, 0), (1, 6, 0, 0), (109, 139, 16, 9), (1, 34, 8, 0)],
+    (6, 9, 3): [(6, 32, 8, 3), (1, 16, 7, 0), (98, 135, 20, 10), (1, 43, 10, 0)],
+    (9, 6, 5): [(10, 45, 10, 5), (1, 20, 10, 0), (34, 58, 11, 8), (1, 43, 10, 0)],
+    (12, 12, 6): [(12, 63, 17, 6), (1, 32, 16, 0), (161, 220, 31, 10), (1, 81, 22, 0)],
+    (17, 11, 10): [(20, 92, 20, 10), (1, 42, 20, 0), (112, 160, 22, 5), (1, 79, 20, 0)],
+    (33, 40, 20): [(40, 199, 52, 20), (1, 98, 51, 0), (1372, 1548, 95, 24), (1, 212, 64, 0)],
+}
+
+# alpha = 1, beta = -1 makes some coefficients zero, and the recurrence
+# skips its s_{t+2} term after a zero: fewer adds and muls at (12, 12, 6).
+RECORDED_OPS_SYMMETRIC = dict(RECORDED_OPS)
+RECORDED_OPS_SYMMETRIC[(12, 12, 6)] = [
+    (10, 59, 17, 6), (1, 32, 16, 0), (159, 218, 31, 10), (1, 81, 22, 0),
+]
+
+
+@pytest.mark.parametrize("field, a, b, recorded", [
+    ("fp:1000003", 3, -2, RECORDED_OPS),
+    (f"fp:{P61}", 3, -2, RECORDED_OPS),
+    ("q", 3, -2, RECORDED_OPS),
+    ("q", "1/2", "-3/2", RECORDED_OPS),
+    ("q", "-5/2", "1/3", RECORDED_OPS),
+    ("q", 1, -1, RECORDED_OPS_SYMMETRIC),
+])
+def test_op_counts_match_the_recorded_fieldvalue_tallies(field, a, b, recorded):
+    alpha, beta = _roots(parse_field_spec(field), a, b)
+    for (m, n, d), expected in recorded.items():
+        assert _entry_tallies(ProblemSpec(m, n, d, alpha, beta)) == expected, (m, n, d)
+
+
+@pytest.mark.parametrize("a, b", [(3, -2), (1, -1), (0, 5), (2, 1)])
+def test_q_op_counts_equal_the_fp_counts(a, b):
+    """Integer roots: the Q routes credit exactly what the FieldValue route
+    records over F_p (p = 2^61 - 1), including its zero-dependent skips."""
+    for m in range(1, 11):
+        for n in range(1, 11):
+            for d in range(min(m, n)):
+                q_spec = ProblemSpec(m, n, d, *_roots(Q, a, b))
+                p_spec = ProblemSpec(m, n, d, *_roots(F61, a, b))
+                assert _entry_tallies(q_spec) == _entry_tallies(p_spec), (m, n, d)
+                with count_ops() as q_count:
+                    leading_coefficient_sd(q_spec)
+                with count_ops() as p_count:
+                    leading_coefficient_sd(p_spec)
+                assert q_count == p_count
+
+
+def test_psres_all_equals_the_schedule_values():
+    for a, b in [(3, -2), (1, -1), (0, 7), ("1/2", "-3/2"), ("-5/2", "1/3"), (4, 4)]:
+        alpha, beta = _roots(Q, a, b)
+        for m in range(1, 16):
+            for n in range(1, 16):
+                with count_ops() as fast:
+                    values = psres_all(m, n, alpha, beta)
+                with count_ops() as schedule:
+                    expected = list(psres_schedule(m, n, alpha, beta).values)
+                assert values == expected, (a, b, m, n)
+                assert fast == schedule
+
+
+_RANGE = st.tuples(st.integers(0, 40), st.integers(0, 12)).map(lambda t: range(t[0], t[0] + t[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(numerator=st.lists(_RANGE, max_size=4), denominator=st.lists(_RANGE, max_size=4))
+def test_factorial_ratio_matches_math_factorial(numerator, denominator):
+    expected = Fraction(1)
+    for r in numerator:
+        expected *= math.prod(math.factorial(a) for a in r)
+    for r in denominator:
+        expected /= math.prod(math.factorial(a) for a in r)
+    assert factorial_ratio(numerator, denominator) == expected
+
+
+def test_factorial_ratio_examples_and_errors():
+    assert factorial_ratio([range(10, 11)], [range(3, 4), range(7, 8)]) == math.comb(10, 3)
+    assert factorial_ratio([], []) == 1
+    assert factorial_ratio([range(3, 4)], [range(5, 6)]) == Fraction(1, 20)
+    m = n = 300
+    d = 150
+    seed = factorial_ratio([range(d), range(m + n - 2 * d, m + n - d)],
+                           [range(m - d, m), range(n - d, n)])
+    expected = Fraction(1)
+    for i in range(1, d + 1):
+        expected *= Fraction(math.factorial(i - 1) * math.factorial(m + n - d - i),
+                             math.factorial(m - i) * math.factorial(n - i))
+    assert seed == expected and seed.denominator == 1
+    for bad in (range(0, 6, 2), range(-1, 3), [1, 2]):
+        with pytest.raises(ValueError):
+            factorial_ratio([bad], [])
+
+
+_SMALL_ROOT = st.one_of(
+    st.integers(-6, 6).map(str),
+    st.tuples(st.integers(-9, 9), st.integers(2, 5)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 16), n=st.integers(1, 16), a=_SMALL_ROOT, b=_SMALL_ROOT,
+       data=st.data())
+def test_q_routes_match_the_oracle(m, n, a, b, data):
+    if m + n > 24:
+        n = 24 - m
+    alpha, beta = _roots(Q, a, b)
+    f, g = power_of_linear(alpha, m), power_of_linear(beta, n)
+    values = psres_all(m, n, alpha, beta)
+    assert values == [psres_oracle(f, g, d) for d in range(min(m, n))]
+    if alpha == beta:
+        return
+    d = data.draw(st.integers(0, min(m, n) - 1), label="d")
+    spec = ProblemSpec(m, n, d, alpha, beta)
+    expected = sres_oracle(f, g, d)
+    assert sres_fast(spec).polynomial() == expected
+    assert bernstein_to_monomial(sres_bernstein(spec)).polynomial() == expected
+    pair = cofactors(spec)
+    assert pair.f * f + pair.g * g == expected
+
+
+@settings(max_examples=8, deadline=None)
+@given(m=st.integers(1, 200), n=st.integers(1, 200), a=_SMALL_ROOT, b=_SMALL_ROOT,
+       data=st.data())
+def test_q_routes_match_fp_mod_a_large_prime(m, n, a, b, data):
+    """Up to m, n = 200, each Q result reduced mod 2^61 - 1 equals the F_p
+    route's result on the reduced roots."""
+    if Fraction(a) == Fraction(b):
+        return
+    d = data.draw(st.integers(0, min(m, n) - 1), label="d")
+    q_spec = ProblemSpec(m, n, d, *_roots(Q, a, b))
+    p_spec = ProblemSpec(m, n, d, _inject_p(a), _inject_p(b))
+
+    def reduced(values):
+        return [_mod_p(v.payload) for v in values]
+
+    def residues(values):
+        return [v.payload for v in values]
+
+    assert reduced(sres_fast(q_spec).coeffs) == residues(sres_fast(p_spec).coeffs)
+    q_bern, p_bern = sres_bernstein(q_spec), sres_bernstein(p_spec)
+    assert reduced(q_bern.coeffs) == residues(p_bern.coeffs)
+    assert _mod_p(q_bern.prefactor.payload) == p_bern.prefactor.payload
+    q_pair, p_pair = cofactors(q_spec), cofactors(p_spec)
+    assert reduced(q_pair.f.coeffs) == residues(p_pair.f.coeffs)
+    assert reduced(q_pair.g.coeffs) == residues(p_pair.g.coeffs)
+    assert reduced(psres_all(m, n, q_spec.alpha, q_spec.beta)) == residues(
+        psres_all(m, n, p_spec.alpha, p_spec.beta))
