@@ -54,7 +54,7 @@ from .poly import (
     psres_oracle,
     sres_oracle,
 )
-from .psres import PsresSchedule, psres_all, psres_schedule, psres_single
+from .psres import PsresSchedule, psres_all, psres_schedule
 
 __version__ = "0.1.0"
 
@@ -104,6 +104,5 @@ __all__ = [
     "PsresSchedule",
     "psres_all",
     "psres_schedule",
-    "psres_single",
     "__version__",
 ]

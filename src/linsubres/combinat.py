@@ -3,8 +3,8 @@
 Integer parameters stay in Z; only the values that enter the arithmetic
 are injected into the field, so the operation counts reported by the
 algorithms reflect actual field work.  factorial_ratio is the exception:
-it computes an exact rational on Python ints, for the Q routes that
-replace a ratio chain of field operations by one product of factorials.
+it works on Python ints (exact over Q, residues over F_p) and performs no
+counted field operation; its callers credit the ratio chain it replaces.
 """
 
 from __future__ import annotations
@@ -75,18 +75,21 @@ def falling_product(top: int, count: int, descriptor: FieldDescriptor) -> FieldV
     return acc
 
 
-def factorial_ratio(numerator, denominator) -> Fraction:
-    """The exact rational  prod a! (a in the numerator ranges)
-    / prod b! (b in the denominator ranges),  in lowest terms.
+def factorial_ratio(numerator, denominator, descriptor: FieldDescriptor) -> FieldValue:
+    """Field image of  prod a! (a in the numerator ranges)
+    / prod b! (b in the denominator ranges).
 
     Each argument is an iterable of unit-step ranges of nonnegative
     factorial arguments.  The multiplicity of every k in the merged
     product is a suffix sum over a difference array of the ranges, so
     counting is O(N) for N the largest argument; a smallest-prime-factor
     sieve (built per call) pushes each composite's count onto its factors,
-    which leaves Legendre's prime exponents; the prime powers are then
-    multiplied in a balanced product tree.  Multiplying the factorials out
-    instead is an order of magnitude slower.
+    which leaves Legendre's prime exponents.  Over Q the prime powers are
+    multiplied in a balanced product tree (multiplying the factorials out
+    instead is an order of magnitude slower); over F_p they are reduced
+    mod p and the denominator is inverted once.  Over F_p a ratio with a
+    positive net exponent of p is zero, and one with a negative net
+    exponent raises CharacteristicError.
     """
     spans = [(r, 1) for r in numerator] + [(r, -1) for r in denominator]
     for r, _ in spans:
@@ -116,14 +119,25 @@ def factorial_ratio(numerator, denominator) -> Fraction:
         if p != k and exponent[k]:
             exponent[p] += exponent[k]
             exponent[k // p] += exponent[k]
-    num, den = [], []
-    for p in range(2, top):
-        e = exponent[p]
-        if spf[p] == p and e:
-            (num if e > 0 else den).append(pow(p, abs(e)))
-    if den:
-        return Fraction(_product_tree(num), _product_tree(den))
-    return Fraction(_product_tree(num))
+    primes = [(q, exponent[q]) for q in range(2, top) if spf[q] == q and exponent[q]]
+    p = descriptor.characteristic
+    if not p:
+        num = _product_tree([q ** e for q, e in primes if e > 0])
+        den = _product_tree([q ** -e for q, e in primes if e < 0])
+        return FieldValue(descriptor, Fraction(num, den))
+    num = den = 1
+    for q, e in primes:
+        if q == p:
+            if e < 0:
+                raise CharacteristicError(
+                    f"the factorial ratio has {p}^{-e} in its denominator, "
+                    f"which vanishes in characteristic {p}")
+            return descriptor.zero
+        if e > 0:
+            num = num * pow(q, e, p) % p
+        else:
+            den = den * pow(q, -e, p) % p
+    return FieldValue(descriptor, num * pow(den, -1, p) % p)
 
 
 def _product_tree(factors: list) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .combinat import binomial, factorial_ratio, falling_product
+from .combinat import factorial_ratio
 from .errors import (
     BasisMismatch,
     CharacteristicError,
@@ -149,10 +149,11 @@ def _require_generic(spec: ProblemSpec, case: CharCase, what: str) -> None:
 
 
 def _credit_ratio_chain(falling: int, small: int, steps: int, seed_divs: int = 0) -> None:
-    """Credit the tally of a FieldValue ratio chain that the Q route
-    replaces by factorial_ratio: the seed falling_product(falling, falling)
-    * binomial (min argument `small`), `seed_divs` more divisions of the
-    seed, then `steps` updates r = r * num / den, product = product * r."""
+    """Credit the op count of a factorial_ratio seed, on both fields: the
+    tally of the ratio chain it stands for, whose seed is
+    falling_product(falling, falling) * binomial (min argument `small`)
+    with `seed_divs` more divisions, followed by `steps` updates
+    r = r * num / den, product = product * r."""
     credit_ops(muls=max(falling - 1, 0) + small + 1 + 2 * steps,
                divs=small + seed_divs + steps)
 
@@ -163,11 +164,10 @@ def leading_coefficient_sd(spec: ProblemSpec) -> FieldValue:
         s_d = (alpha-beta)^((m-d)(n-d)) * prod_{i=1}^{d} r_i,
         r_i = (i-1)! (m+n-d-i)! / ((m-i)! (n-i)!).
 
-    Over F_p the product runs the downward ratio chain
+    The product is one factorial_ratio (prime exponents, then a product
+    tree over Q or powers mod p over F_p), and the active count_ops scopes
+    are credited with the tally of the downward ratio chain
     r_d = (d-1)! C(m+n-2d, m-d), r_i = r_{i+1} (m+n-d-i) / (i (m-i) (n-i)).
-    Over Q it is one exact integer from factorial_ratio (prime exponents
-    and a product tree), and the active count_ops scopes are credited with
-    the chain's tally, so the op count is the same on both routes.
     Nonzero by construction.  O(min(m, n) + log(mn)) operations.  Generic
     case and alpha != beta only.
     """
@@ -180,19 +180,9 @@ def leading_coefficient_sd(spec: ProblemSpec) -> FieldValue:
     power = binary_pow(delta, (m - d) * (n - d))
     if d == 0:
         return power
-    if descriptor.characteristic == 0:
-        _credit_ratio_chain(d - 1, min(m - d, n - d), d - 1)
-        seed = factorial_ratio([range(d), range(m + n - 2 * d, m + n - d)],
-                               [range(m - d, m), range(n - d, n)])
-        return power * descriptor.element(seed)
-    r = falling_product(d - 1, d - 1, descriptor) * binomial(m - d, n - d, descriptor)
-    product = r
-    for i in range(d - 1, 0, -1):
-        numerator = descriptor.element(m + n - d - i)
-        denominator = inject_nonzero(descriptor, i * (m - i) * (n - i), "i(m-i)(n-i)")
-        r = r * numerator / denominator
-        product = product * r
-    return power * product
+    _credit_ratio_chain(d - 1, min(m - d, n - d), d - 1)
+    return power * factorial_ratio([range(d), range(m + n - 2 * d, m + n - d)],
+                                   [range(m - d, m), range(n - d, n)], descriptor)
 
 
 def _recurrence_over_z(m: int, n: int, d: int, alpha: int, beta: int, top: int) -> list:
@@ -296,13 +286,14 @@ def sres_bernstein(spec: ProblemSpec) -> SubresResult:
         Sres_d = (alpha-beta)^((m-d)(n-d)) * sum_j c_j (x-alpha)^j (x-beta)^(d-j)
 
     with integer-image coefficients c_j.  c_0 is the product of
-    b_i = (i-1)! (m+n-d-i-1)! / ((m-i-1)! (n-i)!) over i = 1..d, seeded at
+    b_i = (i-1)! (m+n-d-i-1)! / ((m-i-1)! (n-i)!) over i = 1..d, one
+    factorial_ratio credited as the ratio chain seeded at
     b_d = (d-1)! C(m+n-2d-1, m-d-1), and
 
         c_j = c_{j-1} (d-j+1)(n-d+j-1) / (j (m-j)).
 
-    Over Q, c_0 comes from factorial_ratio and the c_j chain runs on
-    Python ints with exact //, crediting the FieldValue chains' op count.
+    Over Q the c_j chain runs on Python ints with exact //, crediting the
+    FieldValue chain's op count.
     O(min(m, n) + d + log(mn)) operations.  Generic case only.
     """
     with count_ops() as counter:
@@ -315,35 +306,26 @@ def sres_bernstein(spec: ProblemSpec) -> SubresResult:
         prefactor = binary_pow(delta, (m - d) * (n - d))
         if d == 0:
             coeffs = (descriptor.one,)
-        elif descriptor.characteristic == 0:
-            _credit_ratio_chain(d - 1, min(m - d - 1, n - d), d - 1)
-            credit_ops(muls=d, divs=d)
-            c = factorial_ratio([range(d), range(m + n - 2 * d - 1, m + n - d - 1)],
-                                [range(m - d - 1, m - 1), range(n - d, n)]).numerator
-            out = [c]
-            for j in range(1, d + 1):
-                c = c * ((d - j + 1) * (n - d + j - 1)) // (j * (m - j))
-                out.append(c)
-            coeffs = tuple(FieldValue(descriptor, Fraction(v)) for v in out)
         else:
-            b = falling_product(d - 1, d - 1, descriptor) * binomial(
-                m - d - 1, n - d, descriptor
-            )
-            c = b
-            for i in range(d - 1, 0, -1):
-                numerator = descriptor.element(m + n - d - i - 1)
-                denominator = inject_nonzero(
-                    descriptor, i * (m - i - 1) * (n - i), "i(m-i-1)(n-i)"
-                )
-                b = b * numerator / denominator
-                c = c * b
-            out = [c]
-            for j in range(1, d + 1):
-                numerator = descriptor.element((d - j + 1) * (n - d + j - 1))
-                denominator = inject_nonzero(descriptor, j * (m - j), "j(m-j)")
-                c = c * numerator / denominator
-                out.append(c)
-            coeffs = tuple(out)
+            _credit_ratio_chain(d - 1, min(m - d - 1, n - d), d - 1)
+            c = factorial_ratio([range(d), range(m + n - 2 * d - 1, m + n - d - 1)],
+                                [range(m - d - 1, m - 1), range(n - d, n)], descriptor)
+            if descriptor.characteristic == 0:
+                credit_ops(muls=d, divs=d)
+                c = c.payload.numerator
+                out = [c]
+                for j in range(1, d + 1):
+                    c = c * ((d - j + 1) * (n - d + j - 1)) // (j * (m - j))
+                    out.append(c)
+                coeffs = tuple(FieldValue(descriptor, Fraction(v)) for v in out)
+            else:
+                out = [c]
+                for j in range(1, d + 1):
+                    numerator = descriptor.element((d - j + 1) * (n - d + j - 1))
+                    denominator = inject_nonzero(descriptor, j * (m - j), "j(m-j)")
+                    c = c * numerator / denominator
+                    out.append(c)
+                coeffs = tuple(out)
     return SubresResult(
         spec=spec,
         basis=Basis.BERNSTEIN,
@@ -386,9 +368,9 @@ def cofactors(spec: ProblemSpec) -> CofactorPair:
         F = (-1)^(m+d)   delta^((m-d-1)(n-d-1)) T * [pair basis of P_{n-d-1}^{(-n,m)}],
         G = (-1)^(m+d+1) delta^((m-d-1)(n-d-1)) T * [pair basis of P_{m-d-1}^{(n,-m)}],
 
-    where T = prod_{i=1}^{d} i! (m+n-d-i-1)! / ((m-i)! (n-i)!) comes from a
-    ratio chain seeded at t_d = d! C(m+n-2d-1, m-d) / (n-d) (over Q:
-    factorial_ratio, crediting the chain's op count).  Boundary
+    where T = prod_{i=1}^{d} i! (m+n-d-i-1)! / ((m-i)! (n-i)!) is one
+    factorial_ratio, credited as the ratio chain seeded at
+    t_d = d! C(m+n-2d-1, m-d) / (n-d).  Boundary
     case: monomial closed forms (+-delta^((m-d-1)(n-d-1)) times a power of
     x-alpha or x-beta).  Vanishing band: (0, 0).
     """
@@ -420,26 +402,11 @@ def cofactors(spec: ProblemSpec) -> CofactorPair:
             g_cof = -g_cof
         return CofactorPair(spec=spec, f=f_cof, g=g_cof, case=case)
     t_product = descriptor.one
-    if d >= 1 and p == 0:
+    if d >= 1:
         _credit_ratio_chain(d, min(m - d, n - d - 1), d - 1, seed_divs=1)
-        t_product = descriptor.element(
-            factorial_ratio([range(1, d + 1), range(m + n - 2 * d - 1, m + n - d - 1)],
-                            [range(m - d, m), range(n - d, n)])
-        )
-    elif d >= 1:
-        t = (
-            falling_product(d, d, descriptor)
-            * binomial(m - d, n - d - 1, descriptor)
-            / inject_nonzero(descriptor, n - d, "n-d")
-        )
-        t_product = t
-        for i in range(d - 1, 0, -1):
-            numerator = descriptor.element(m + n - d - i - 1)
-            denominator = inject_nonzero(
-                descriptor, (i + 1) * (m - i) * (n - i), "(i+1)(m-i)(n-i)"
-            )
-            t = t * numerator / denominator
-            t_product = t_product * t
+        t_product = factorial_ratio(
+            [range(1, d + 1), range(m + n - 2 * d - 1, m + n - d - 1)],
+            [range(m - d, m), range(n - d, n)], descriptor)
     base = scale * t_product
     f_cof = expand_pair_basis(
         pair_basis_coeffs(n - d - 1, -n, m, descriptor), spec.alpha, spec.beta

@@ -180,7 +180,9 @@ class FieldDescriptor:
 
     def element(self, value) -> "FieldValue":
         """Canonical injection of an int, Fraction, decimal string, or
-        "p/q" string.  Idempotent on FieldValues of this same field."""
+        "a/b" string; over F_p a rational is a * b^-1, and a b divisible by
+        p raises DivisionByZero.  Idempotent on FieldValues of this same
+        field."""
         if isinstance(value, FieldValue):
             if value.descriptor != self:
                 raise FieldMismatch(f"value from {value.descriptor} injected into {self}")
@@ -196,7 +198,11 @@ class FieldDescriptor:
         if isinstance(value, bool):
             raise TypeError("bool is not a field element")
         if isinstance(value, str):
-            value = int(value, 10)
+            value = Fraction(value) if "/" in value else int(value, 10)
+        if isinstance(value, Fraction):
+            if value.denominator % self.modulus == 0:
+                raise DivisionByZero(f"denominator divisible by {self.modulus}")
+            value = value.numerator * pow(value.denominator, -1, self.modulus)
         if isinstance(value, int):
             return FieldValue(self, value % self.modulus)
         raise TypeError(f"cannot inject {type(value).__name__} into F_{self.modulus}")
@@ -205,7 +211,10 @@ class FieldDescriptor:
         try:
             return self.element(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse {text!r} as an element of {self}") from exc
+            shown = repr(text)
+            if len(text) > 40:
+                shown = f"{text[:40]!r}... ({len(text)} characters)"
+            raise ValueError(f"cannot parse {shown} as an element of {self}") from exc
 
     def spec_string(self) -> str:
         if self.modulus is None:

@@ -37,10 +37,10 @@ from .field import (
     char_of,
     credit_ops,
     inject_nonzero,
+    rationals,
 )
-from .poly import ProblemSpec
 
-__all__ = ["PsresSchedule", "psres_schedule", "psres_all", "psres_single"]
+__all__ = ["PsresSchedule", "psres_schedule", "psres_all"]
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def _downward_over_z(m: int, n: int, delta: int) -> list:
                 (m + n - 2 * d - 1) * (m + n - 2 * d) ** 2 * (m + n - 2 * d + 1),
             ))
     s = factorial_ratio([range(top), range(m + n - 2 * top, m + n - top)],
-                        [range(m - top, m), range(n - top, n)]).numerator
+                        [range(m - top, m), range(n - top, n)], rationals()).payload.numerator
     s *= delta ** ((m - top) * (n - top))
     values = [0] * low
     values[top] = s
@@ -178,10 +178,3 @@ def _downward_over_z(m: int, n: int, delta: int) -> list:
         divs += (low - 2) + small + 1
     credit_ops(adds=1, muls=muls, divs=divs)
     return values
-
-
-def psres_single(spec: ProblemSpec) -> FieldValue:
-    """One principal subresultant s_d, via the closed-form product."""
-    from .fastsubres import leading_coefficient_sd
-
-    return leading_coefficient_sd(spec)

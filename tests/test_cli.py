@@ -276,7 +276,20 @@ def test_q_output_past_the_int_str_limit(capsys):
 def test_input_past_the_int_str_limit_is_a_usage_error(capsys):
     assert main(["compute", "--m=4", "--n=3", "--d=1", "--alpha=" + "7" * 5000,
                  "--beta=2"]) == 2
-    assert "cannot parse" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cannot parse" in err and "5000 characters" in err
+    assert len(err) < 200
+
+
+def test_rational_roots_over_a_prime_field(capsys):
+    payload = run_json(capsys, ["compute", "--m=4", "--n=3", "--d=2", "--alpha=1/2",
+                                "--beta=-5/2", "--field=fp:101"])
+    F = prime_field(101)
+    spec = ProblemSpec(4, 3, 2, F.element(1) / F.element(2), F.element(-5) / F.element(2))
+    assert payload["alpha"] == str(spec.alpha) == "51"
+    assert payload["coeffs"][-1] == str(leading_coefficient_sd(spec))
+    assert main(["compute", "--m=4", "--n=3", "--d=2", "--alpha=1/101", "--beta=2",
+                 "--field=fp:101"]) == 2
 
 
 def test_python_dash_m_linsubres():

@@ -101,6 +101,29 @@ def test_value_string_round_trip():
         Q.from_str("five")
 
 
+def test_rationals_inject_into_prime_fields():
+    assert F7.element("1/2") == F7.element(4)
+    assert F7.from_str("-5/2") == F7.element(-5) / F7.element(2)
+    assert F7.element(Fraction(3, 4)) == F7.element(3) / F7.element(4)
+    assert F7.element(Fraction(14, 3)) == F7.zero
+    for bad in ("1/7", Fraction(2, 21)):
+        with pytest.raises(DivisionByZero):
+            F7.element(bad)
+    with pytest.raises(ValueError):
+        F7.from_str("1/7")
+    with pytest.raises(ValueError):
+        F7.from_str("1/" + "7" * 5000)
+
+
+def test_parse_errors_quote_a_bounded_prefix():
+    with pytest.raises(ValueError) as excinfo:
+        F7.from_str("x" * 5000)
+    message = str(excinfo.value)
+    assert len(message) < 120 and "5000 characters" in message
+    with pytest.raises(ValueError, match="'five'"):
+        Q.from_str("five")
+
+
 def test_equality_and_hash():
     assert Q.element(2) == Q.element(Fraction(4, 2))
     assert hash(Q.element(2)) == hash(Q.element(Fraction(4, 2)))

@@ -1,19 +1,22 @@
-"""The exact-integer Q routes: factorial_ratio, the integer recurrence,
-the downward psres chain, and the op counts they credit.
+"""The integer kernels: factorial_ratio over Q and F_p, the integer
+recurrence, the downward psres chain, and the op counts they credit.
 
-Over Q the four entry points compute their seeds and chains on Python ints
-instead of FieldValue arithmetic.  These tests hold them to the determinant
-oracle, to the F_p route mod a large prime, to psres_schedule, and to the
-op counts the FieldValue route records.
+The entry points take their factorial-ratio seeds from factorial_ratio on
+both fields, and over Q also run their chains on Python ints instead of
+FieldValue arithmetic.  These tests hold them to the determinant oracle,
+to the F_p route mod a large prime, to exact products of the closed-form
+ratios, to psres_schedule, and to the op counts the FieldValue route
+records.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linsubres.combinat import factorial_ratio
+from linsubres.errors import CharacteristicError
 from linsubres.fastsubres import (
     bernstein_to_monomial,
     cofactors,
@@ -22,6 +25,7 @@ from linsubres.fastsubres import (
     sres_fast,
 )
 from linsubres.field import count_ops, parse_field_spec, prime_field, rationals
+from linsubres.jacobi import expand_pair_basis, pair_basis_coeffs
 from linsubres.poly import ProblemSpec, power_of_linear, psres_oracle, sres_oracle
 from linsubres.psres import psres_all, psres_schedule
 
@@ -128,25 +132,54 @@ def test_psres_all_equals_the_schedule_values():
 _RANGE = st.tuples(st.integers(0, 40), st.integers(0, 12)).map(lambda t: range(t[0], t[0] + t[1]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(numerator=st.lists(_RANGE, max_size=4), denominator=st.lists(_RANGE, max_size=4))
-def test_factorial_ratio_matches_math_factorial(numerator, denominator):
+def _factorial_quotient(numerator, denominator) -> Fraction:
     expected = Fraction(1)
     for r in numerator:
         expected *= math.prod(math.factorial(a) for a in r)
     for r in denominator:
         expected /= math.prod(math.factorial(a) for a in r)
-    assert factorial_ratio(numerator, denominator) == expected
+    return expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(numerator=st.lists(_RANGE, max_size=4), denominator=st.lists(_RANGE, max_size=4))
+def test_factorial_ratio_matches_math_factorial(numerator, denominator):
+    expected = _factorial_quotient(numerator, denominator)
+    assert factorial_ratio(numerator, denominator, Q).payload == expected
+
+
+_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 1000003, P61]
+
+
+@settings(max_examples=200, deadline=None)
+@given(numerator=st.lists(_RANGE, max_size=4), denominator=st.lists(_RANGE, max_size=4))
+def test_factorial_ratio_over_fp_is_the_quotient_mod_p(numerator, denominator):
+    """Primes above the largest argument give the quotient mod p; a prime
+    inside the range gives zero when it divides the reduced numerator and
+    CharacteristicError when it divides the reduced denominator."""
+    expected = _factorial_quotient(numerator, denominator)
+    for p in _PRIMES:
+        F = prime_field(p)
+        if expected.denominator % p == 0:
+            with pytest.raises(CharacteristicError):
+                factorial_ratio(numerator, denominator, F)
+            continue
+        value = factorial_ratio(numerator, denominator, F)
+        assert value.payload == expected.numerator * pow(expected.denominator, -1, p) % p
+        assert value.is_zero() == (expected.numerator % p == 0)
 
 
 def test_factorial_ratio_examples_and_errors():
-    assert factorial_ratio([range(10, 11)], [range(3, 4), range(7, 8)]) == math.comb(10, 3)
-    assert factorial_ratio([], []) == 1
-    assert factorial_ratio([range(3, 4)], [range(5, 6)]) == Fraction(1, 20)
+    assert factorial_ratio([range(10, 11)], [range(3, 4), range(7, 8)], Q).payload == 120
+    assert factorial_ratio([], [], Q).payload == 1
+    assert factorial_ratio([range(3, 4)], [range(5, 6)], Q).payload == Fraction(1, 20)
+    assert factorial_ratio([range(10, 11)], [range(3, 4)], prime_field(7)).is_zero()
+    with pytest.raises(CharacteristicError):
+        factorial_ratio([range(3, 4)], [range(5, 6)], prime_field(5))
     m = n = 300
     d = 150
     seed = factorial_ratio([range(d), range(m + n - 2 * d, m + n - d)],
-                           [range(m - d, m), range(n - d, n)])
+                           [range(m - d, m), range(n - d, n)], Q).payload
     expected = Fraction(1)
     for i in range(1, d + 1):
         expected *= Fraction(math.factorial(i - 1) * math.factorial(m + n - d - i),
@@ -154,7 +187,42 @@ def test_factorial_ratio_examples_and_errors():
     assert seed == expected and seed.denominator == 1
     for bad in (range(0, 6, 2), range(-1, 3), [1, 2]):
         with pytest.raises(ValueError):
-            factorial_ratio([bad], [])
+            factorial_ratio([bad], [], Q)
+
+
+def _closed_form_product(d, term) -> int:
+    """prod_{i=1}^{d} term(i) as an exact Fraction, reduced mod 2^61 - 1;
+    term(i) gives the factorial arguments (numerator, denominator)."""
+    product = Fraction(1)
+    for i in range(1, d + 1):
+        top, bottom = term(i)
+        product *= Fraction(math.prod(map(math.factorial, top)),
+                            math.prod(map(math.factorial, bottom)))
+    return _mod_p(product)
+
+
+@settings(max_examples=10, deadline=None)
+@given(m=st.integers(1, 300), n=st.integers(1, 300), data=st.data())
+@example(m=300, n=300, data=None)
+def test_fp_seeds_match_the_closed_form_products(m, n, data):
+    """With alpha = 1, beta = 0 the F_p seeds are visible: s_d is the
+    product of the r_i, the pair-basis c_0 the product of the b_i, and the
+    cofactor F the pair-basis expansion scaled by +-T, the product of the
+    t_i.  Each is compared with the exact product of the paper's factorial
+    ratios, reduced mod 2^61 - 1."""
+    if m == 1 or n == 1:
+        m, n = m + 1, n + 1
+    ds = {1, min(m, n) - 1} if data is None else {data.draw(st.integers(1, min(m, n) - 1))}
+    for d in ds:
+        spec = ProblemSpec(m, n, d, F61.one, F61.zero)
+        r = _closed_form_product(d, lambda i: ((i - 1, m + n - d - i), (m - i, n - i)))
+        assert leading_coefficient_sd(spec).payload == r
+        b = _closed_form_product(d, lambda i: ((i - 1, m + n - d - i - 1), (m - i - 1, n - i)))
+        assert sres_bernstein(spec).coeffs[0].payload == b
+        t = _closed_form_product(d, lambda i: ((i, m + n - d - i - 1), (m - i, n - i)))
+        expansion = expand_pair_basis(pair_basis_coeffs(n - d - 1, -n, m, F61), F61.one, F61.zero)
+        sign = -1 if (m + d) % 2 else 1
+        assert cofactors(spec).f == expansion.scale(F61.element(sign * t))
 
 
 _SMALL_ROOT = st.one_of(

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linsubres.errors import CharacteristicError, FieldMismatch, PreconditionError
+from linsubres.fastsubres import leading_coefficient_sd
 from linsubres.field import binary_pow, count_ops, prime_field, rationals
 from linsubres.poly import ProblemSpec, power_of_linear, psres_oracle
-from linsubres.psres import psres_all, psres_schedule, psres_single
+from linsubres.psres import psres_all, psres_schedule
 
 Q = rationals()
 F17 = prime_field(17)
@@ -105,9 +106,9 @@ def test_validation_errors():
 
 def test_psres_single_examples():
     spec = ProblemSpec(6, 5, 4, Q.element(3), Q.element(-2))
-    assert psres_single(spec) == Q.element(375)
+    assert leading_coefficient_sd(spec) == Q.element(375)
     spec = ProblemSpec(2, 2, 1, Q.element(1), Q.element(0))
-    assert psres_single(spec) == Q.element(2)
+    assert leading_coefficient_sd(spec) == Q.element(2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -124,7 +125,7 @@ def test_vector_agrees_with_single_closed_form(m, n, a, b):
         assert all(value.is_zero() for value in values)
         return
     for d, value in enumerate(values):
-        assert value == psres_single(ProblemSpec(m, n, d, alpha, beta))
+        assert value == leading_coefficient_sd(ProblemSpec(m, n, d, alpha, beta))
 
 
 def test_operation_count_is_linear_plus_log():
