@@ -9,6 +9,7 @@ ratios, to psres_schedule, and to the op counts the FieldValue route
 records.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -127,6 +128,59 @@ def test_psres_all_equals_the_schedule_values():
                     expected = list(psres_schedule(m, n, alpha, beta).values)
                 assert values == expected, (a, b, m, n)
                 assert fast == schedule
+
+
+# Outputs and op counts of the FieldValue F_p routes, recorded before the
+# F_p chains moved onto residues: the sha256 of the comma-joined payloads
+# (coefficients, then the pair-basis prefactor) and (adds, muls, divs,
+# negs).  At (500, 500, 350) mod 653 two coefficients vanish, so the
+# recurrence skips its s_{t+2} term twice.
+FP_PINS = [
+    ("sres_fast", 4096, 4096, 2048, 1000003, 123456, -98765, (4096, 20499, 6143, 2048),
+     "5b9daf033ab81e478166c5291f8bf5029906820b6b4b10dd0c2b5f69a82e9eb9"),
+    ("sres_bernstein", 4096, 4096, 2048, 1000003, 123456, -98765, (1, 10258, 6142, 0),
+     "6dca22bf251878c203dd75f64454ac9342420b59fb9e478dfb3ac4075578ecd3"),
+    ("psres_all", 4096, 4096, None, 1000003, 123456, -98765, (1, 24618, 8190, 0),
+     "ba98533b747d00a078ce01b1319491efefd1767e7e7e1ebdcaea778de94d6d0d"),
+    ("sres_fast", 300, 3000, 150, 1000003, 31, 41, (300, 1524, 449, 150),
+     "31e5f0c2009863131c0714860b312ca99dce0d409b6515f653b6e3b803b88788"),
+    ("sres_bernstein", 300, 3000, 150, 1000003, 31, 41, (1, 773, 448, 0),
+     "c16853b30d0e29116ac5afb3b4c722aa49d4c28ea0b902a41f3f22a6edc8aa1c"),
+    ("psres_all", 300, 3000, None, 1000003, 31, 41, (1, 1840, 598, 0),
+     "81ac54768c68affe367b9e47198aafca3c8b9ba990eee640eaaf8a53fecb2206"),
+    ("sres_fast", 500, 500, 350, 653, 3, -2, (698, 3315, 849, 350),
+     "8f8fff410f64cba3f19cc978ef70ee9ff4a7cfc122cd0d9146614dffc69dcf07"),
+    ("sres_bernstein", 500, 500, 350, 653, 3, -2, (1, 1568, 848, 0),
+     "ee170cb24b8895cd05733551a3dd1f82d00f463eb9e6f25fd85997f62e9a39c6"),
+    ("psres_all", 500, 500, None, 1009, 3, -2, (1, 3033, 998, 0),
+     "0bbe62de1e0bfae7501b25d5b54d6c061c681a85af2f18a43b164e1ae861712c"),
+    ("psres_all", 4096, 1000, None, 1000003, 2, 1000002, (1, 6040, 1998, 0),
+     "b223cef29c3359cbee32c5ff479fff1c59256d8142a3d99e058540808914dccc"),
+    ("sres_fast", 1000, 1200, 600, P61, 10**17 + 3, -10**15 - 7, (1200, 5820, 1599, 600),
+     "9c099820845eac30e7e197b6d6e9e1aca32029b934a5abc78d9b45a4ede7b884"),
+    ("sres_bernstein", 1000, 1200, 600, P61, 10**17 + 3, -10**15 - 7, (1, 2819, 1598, 0),
+     "18f325033ef5ef04a72fca415f40a9d250125c132d9a747ec3520edd0fe3ab0b"),
+    ("psres_all", 1000, 1200, None, P61, 10**17 + 3, -10**15 - 7, (1, 6037, 1998, 0),
+     "2d6f92e135c981d2e29c5c24771cd148332aac05ebd4143b435a3cffe4b24c31"),
+]
+
+
+@pytest.mark.parametrize("entry, m, n, d, p, a, b, tally, digest", FP_PINS)
+def test_fp_outputs_match_the_recorded_pins(entry, m, n, d, p, a, b, tally, digest):
+    F = prime_field(p)
+    alpha, beta = F.element(a), F.element(b)
+    with count_ops() as counter:
+        if entry == "psres_all":
+            values = psres_all(m, n, alpha, beta)
+        else:
+            result = {"sres_fast": sres_fast, "sres_bernstein": sres_bernstein}[entry](
+                ProblemSpec(m, n, d, alpha, beta))
+            values = list(result.coeffs)
+            if result.prefactor is not None:
+                values.append(result.prefactor)
+    joined = ",".join(str(v.payload) for v in values)
+    assert hashlib.sha256(joined.encode()).hexdigest() == digest
+    assert _tally(counter) == tally
 
 
 _RANGE = st.tuples(st.integers(0, 40), st.integers(0, 12)).map(lambda t: range(t[0], t[0] + t[1]))
