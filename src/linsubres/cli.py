@@ -490,6 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # read `--alpha -5/2` as `--alpha=-5/2`; argparse takes -5/2 for an option
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--alpha", "--beta") and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .combinat import factorial_ratio
@@ -29,7 +28,6 @@ from .field import (
     char_of,
     count_ops,
     credit_ops,
-    inject_nonzero,
     parse_field_spec,
 )
 from .jacobi import expand_pair_basis, pair_basis_coeffs
@@ -185,14 +183,15 @@ def leading_coefficient_sd(spec: ProblemSpec) -> FieldValue:
                                    [range(m - d, m), range(n - d, n)], descriptor)
 
 
-def _recurrence_over_z(m: int, n: int, d: int, alpha: int, beta: int, top: int) -> list:
-    """sres_fast's downward recurrence on Python ints, for integer roots:
-    every s_t is an integer, so the division is an exact //.  Credits the
-    tally the FieldValue loop records, whose s_{t+2} term is skipped when
-    s_{t+2} = 0."""
+def _recurrence_int(m: int, n: int, d: int, alpha: int, beta: int, top: int, p: int) -> list:
+    """sres_fast's downward recurrence on Python ints, for integer roots
+    over Q (p = 0: every s_t is an integer, so the division is an exact //)
+    and for residues over F_p (a multiplication by pow(den, -1, p)).
+    Credits the tally the FieldValue loop records, whose s_{t+2} term is
+    skipped when s_{t+2} = 0."""
     out = [0] * (d + 1)
     out[d] = top
-    alpha_beta = alpha * beta
+    alpha_beta = alpha * beta % p if p else alpha * beta
     above, above2 = top, 0
     full = 0
     for t in range(d - 1, -1, -1):
@@ -200,7 +199,8 @@ def _recurrence_over_z(m: int, n: int, d: int, alpha: int, beta: int, top: int) 
         if above2:
             acc += (t + 2) * alpha_beta * above2
             full += 1
-        value = -(acc * (t + 1) // ((d - t) * (m + n - d - t - 1)))
+        den = (d - t) * (m + n - d - t - 1)
+        value = -acc * (t + 1) * pow(den, -1, p) % p if p else -(acc * (t + 1) // den)
         out[t] = value
         above2, above = above, value
     credit_ops(adds=d + full, muls=1 + 4 * d + 2 * full, divs=d, negs=d)
@@ -219,8 +219,10 @@ def sres_fast(spec: ProblemSpec) -> SubresResult:
 
     O(min(m, n) + d + log(mn)) operations total.  Boundary case: the single
     constant (-1)^(md) (alpha-beta)^((m-d)(n-d)+d).  Vanishing band: zeros.
-    Over Q with integer alpha and beta the recurrence runs on Python ints
-    (_recurrence_over_z), with the same op count.
+    Over F_p, and over Q with integer alpha and beta, the recurrence runs
+    on Python ints (_recurrence_int: residues mod p, or exact integers),
+    crediting the op count of the FieldValue loop, which is left to Q with
+    non-integer roots.
     """
     with count_ops() as counter:
         case = classify(spec)
@@ -238,16 +240,11 @@ def sres_fast(spec: ProblemSpec) -> SubresResult:
             coeffs = (value,)
         elif d == 0:
             coeffs = (leading_coefficient_sd(spec),)
-        elif descriptor.characteristic == 0 and (
-            spec.alpha.payload.denominator == spec.beta.payload.denominator == 1
-        ):
-            top = leading_coefficient_sd(spec).payload.numerator
-            coeffs = tuple(
-                FieldValue(descriptor, Fraction(v))
-                for v in _recurrence_over_z(
-                    m, n, d, spec.alpha.payload.numerator, spec.beta.payload.numerator, top
-                )
-            )
+        elif spec.alpha.payload.denominator == spec.beta.payload.denominator == 1:
+            # F_p residues, or integer roots over Q (an int is its own numerator)
+            coeffs = descriptor.from_ints(_recurrence_int(
+                m, n, d, spec.alpha.payload.numerator, spec.beta.payload.numerator,
+                leading_coefficient_sd(spec).payload.numerator, descriptor.characteristic))
         else:
             out = [descriptor.zero] * (d + 1)
             out[d] = leading_coefficient_sd(spec)
@@ -256,20 +253,14 @@ def sres_fast(spec: ProblemSpec) -> SubresResult:
             above = out[d]              # s_{t+1}
             above2 = descriptor.zero    # s_{t+2}
             for t in range(d - 1, -1, -1):
-                acc = (
-                    descriptor.element(n - t - 1) * alpha
-                    + descriptor.element(m - t - 1) * beta
-                ) * above
+                acc = (descriptor.element(n - t - 1) * alpha
+                       + descriptor.element(m - t - 1) * beta) * above
                 if not above2.is_zero():
                     acc = acc + descriptor.element(t + 2) * alpha_beta * above2
                 acc = acc * descriptor.element(t + 1)
-                denominator = inject_nonzero(
-                    descriptor, (d - t) * (m + n - d - t - 1), "(d-t)(m+n-d-t-1)"
-                )
-                value = -(acc / denominator)
+                value = -(acc / descriptor.element((d - t) * (m + n - d - t - 1)))
                 out[t] = value
-                above2 = above
-                above = value
+                above2, above = above, value
             coeffs = tuple(out)
     return SubresResult(
         spec=spec,
@@ -292,8 +283,8 @@ def sres_bernstein(spec: ProblemSpec) -> SubresResult:
 
         c_j = c_{j-1} (d-j+1)(n-d+j-1) / (j (m-j)).
 
-    Over Q the c_j chain runs on Python ints with exact //, crediting the
-    FieldValue chain's op count.
+    The c_j chain runs on Python ints, exact // over Q and residues times
+    pow(den, -1, p) over F_p, crediting the op count of a FieldValue chain.
     O(min(m, n) + d + log(mn)) operations.  Generic case only.
     """
     with count_ops() as counter:
@@ -310,22 +301,14 @@ def sres_bernstein(spec: ProblemSpec) -> SubresResult:
             _credit_ratio_chain(d - 1, min(m - d - 1, n - d), d - 1)
             c = factorial_ratio([range(d), range(m + n - 2 * d - 1, m + n - d - 1)],
                                 [range(m - d - 1, m - 1), range(n - d, n)], descriptor)
-            if descriptor.characteristic == 0:
-                credit_ops(muls=d, divs=d)
-                c = c.payload.numerator
-                out = [c]
-                for j in range(1, d + 1):
-                    c = c * ((d - j + 1) * (n - d + j - 1)) // (j * (m - j))
-                    out.append(c)
-                coeffs = tuple(FieldValue(descriptor, Fraction(v)) for v in out)
-            else:
-                out = [c]
-                for j in range(1, d + 1):
-                    numerator = descriptor.element((d - j + 1) * (n - d + j - 1))
-                    denominator = inject_nonzero(descriptor, j * (m - j), "j(m-j)")
-                    c = c * numerator / denominator
-                    out.append(c)
-                coeffs = tuple(out)
+            credit_ops(muls=d, divs=d)
+            c, p = c.payload.numerator, descriptor.characteristic
+            out = [c]
+            for j in range(1, d + 1):
+                c *= (d - j + 1) * (n - d + j - 1)
+                c = c * pow(j * (m - j), -1, p) % p if p else c // (j * (m - j))
+                out.append(c)
+            coeffs = descriptor.from_ints(out)
     return SubresResult(
         spec=spec,
         basis=Basis.BERNSTEIN,

@@ -207,6 +207,12 @@ class FieldDescriptor:
             return FieldValue(self, value % self.modulus)
         raise TypeError(f"cannot inject {type(value).__name__} into F_{self.modulus}")
 
+    def from_ints(self, values) -> tuple:
+        """Wrap Python ints without reducing them again: exact integers over
+        Q, residues in [0, p) over F_p."""
+        wrap = int if self.modulus else Fraction
+        return tuple(FieldValue(self, wrap(v)) for v in values)
+
     def from_str(self, text: str) -> "FieldValue":
         try:
             return self.element(text.strip())

@@ -4,21 +4,23 @@ The values s_0, ..., s_{min(m,n)-1} factor through two coupled product
 chains, one rational in (m, n) only and one in powers of alpha - beta, so
 the whole vector costs O(min(m, n) + log(mn)) field operations.
 
-Over F_p, and over Q when alpha - beta is not an integer, psres_all takes
-the values from psres_schedule, which multiplies the two chains index by
-index.  Over Q with an integer delta = alpha - beta that costs a big-number
-product per index, so psres_all instead runs one downward chain on Python
-ints: s_{low-1} = c(low-1) delta^((m-low+1)(n-low+1)), with c(low-1) from
-factorial_ratio, then
+Over Q when alpha - beta is not an integer, psres_all takes the values
+from psres_schedule, which multiplies the two chains index by index in
+FieldValue arithmetic.  Otherwise, over F_p and over Q with an integer
+delta = alpha - beta != 0, psres_all runs one downward chain on Python
+ints: s_{low-1} = c(low-1) delta^((m-low+1)(n-low+1)), with c(low-1)
+from factorial_ratio, then
 
     s_{i-1} = s_i // num(u_i) * delta^(m+n-2i+1) * den(u_i),
 
-where u_i = c(i)/c(i-1) is the schedule's small ratio, in lowest terms.
-The division is exact: c(i) and c(i-1) are integers (the principal
-subresultants at delta = 1), so num(u_i) divides c(i), which divides
-s_i = c(i) delta^((m-i)(n-i)).  The active count_ops scopes are
-credited with psres_schedule's tally, so the op count is the same on
-both routes.
+where u_i = c(i)/c(i-1) is the schedule's small ratio.  Over Q it is in
+lowest terms and the division is exact: c(i) and c(i-1) are integers
+(the principal subresultants at delta = 1), so num(u_i) divides c(i),
+which divides s_i = c(i) delta^((m-i)(n-i)).  Over F_p (p >= m + n, so
+every factor of num(u_i) is a unit) the chain runs on residues, with u_i
+kept as an unreduced pair and one inverse, of num(u_{low-1}), for all
+the steps.  Either way the active count_ops scopes are credited with
+psres_schedule's tally, so the op count is the same on every route.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .field import (
     char_of,
     credit_ops,
     inject_nonzero,
+    prime_field,
     rationals,
 )
 
@@ -138,43 +141,64 @@ def psres_all(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> list:
     """[s_0, ..., s_{min(m,n)-1}] in O(min(m,n) + log(mn)) operations."""
     descriptor = _check_args(m, n, alpha, beta)
     delta = alpha.payload - beta.payload
-    if descriptor.characteristic == 0 and delta and delta.denominator == 1:
-        return [FieldValue(descriptor, Fraction(s))
-                for s in _downward_over_z(m, n, delta.numerator)]
+    if delta and delta.denominator == 1:
+        return list(descriptor.from_ints(
+            _downward(m, n, delta.numerator, descriptor.characteristic)))
     return list(psres_schedule(m, n, alpha, beta).values)
 
 
-def _downward_over_z(m: int, n: int, delta: int) -> list:
-    """The principal subresultants for an integer delta != 0, by the
-    downward integer chain of the module docstring."""
+def _credit_schedule(m: int, n: int) -> None:
+    """Credit psres_schedule's tally: delta, the powers seeding h and gamma,
+    the c and h chains and the values; for min(m, n) >= 2 also the binomial
+    seeding u, the v, u and gamma chains, 1/delta^(m+n-1) and delta^2."""
     low = min(m, n)
-    top = low - 1
-    u = []
-    if low >= 2:
-        u.append(Fraction(comb(m + n - 2, m - 1)))
-        for d in range(1, low - 1):
-            u.append(u[-1] * Fraction(
-                d * (m - d) * (n - d) * (m + n - d),
-                (m + n - 2 * d - 1) * (m + n - 2 * d) ** 2 * (m + n - 2 * d + 1),
-            ))
-    s = factorial_ratio([range(top), range(m + n - 2 * top, m + n - top)],
-                        [range(m - top, m), range(n - top, n)], rationals()).payload.numerator
-    s *= delta ** ((m - top) * (n - top))
-    values = [0] * low
-    values[top] = s
-    step = delta ** (m + n - 2 * top + 1)
-    delta_sq = delta * delta
-    for i in range(top, 0, -1):
-        s = s // u[i - 1].numerator * (step * u[i - 1].denominator)
-        values[i - 1] = s
-        step *= delta_sq
-    # psres_schedule's tally: delta, the powers seeding h and gamma, the
-    # c and h chains and the values; for low >= 2 also the binomial
-    # seeding u, the v, u and gamma chains, 1/delta^(m+n-1) and delta^2
     muls, divs = binary_pow_muls(m * n) + 3 * low - 2, 0
     if low >= 2:
         small = min(m - 1, n - 1)
         muls += small + 2 * (low - 2) + binary_pow_muls(m + n - 1) + 1
         divs += (low - 2) + small + 1
     credit_ops(adds=1, muls=muls, divs=divs)
+
+
+def _downward(m: int, n: int, delta: int, p: int) -> list:
+    """The principal subresultants for delta != 0, by the downward chain of
+    the module docstring: on integers for p = 0, on residues mod p for a
+    prime p >= m + n."""
+    low = min(m, n)
+    top = low - 1
+    s = factorial_ratio([range(top), range(m + n - 2 * top, m + n - top)],
+                        [range(m - top, m), range(n - top, n)],
+                        prime_field(p) if p else rationals()).payload.numerator
+    s *= pow(delta, (m - top) * (n - top), p or None)
+    step = pow(delta, m + n - 2 * top + 1, p or None)
+    delta_sq = delta * delta
+    # u_1 = C(m+n-2, m-1) and u_{d+1} = u_d v_d, v_d = a_d / b_d
+    v = [(d * (m - d) * (n - d) * (m + n - d),
+          (m + n - 2 * d - 1) * (m + n - 2 * d) ** 2 * (m + n - 2 * d + 1))
+         for d in range(1, low - 1)]
+    values = [0] * low
+    if p:
+        # u_i = num_i / den_i unreduced, so one inverse, of num_top, serves
+        # every step down: 1/num_{i-1} = a_{i-1} / num_i
+        num, dens = comb(m + n - 2, m - 1) % p, [1]
+        for a, b in v:
+            num = num * a % p
+            dens.append(dens[-1] * b % p)
+        inverse = pow(num, -1, p)
+        values[top] = s = s % p
+        for i in range(top, 0, -1):
+            s = s * dens[i - 1] % p * inverse % p * step % p
+            values[i - 1] = s
+            step = step * delta_sq % p
+            inverse = inverse * ((i - 1) * (m - i + 1) * (n - i + 1) * (m + n - i + 1)) % p
+    else:
+        u = [Fraction(comb(m + n - 2, m - 1))]
+        for a, b in v:
+            u.append(u[-1] * Fraction(a, b))
+        values[top] = s
+        for i in range(top, 0, -1):
+            s = s // u[i - 1].numerator * (step * u[i - 1].denominator)
+            values[i - 1] = s
+            step *= delta_sq
+    _credit_schedule(m, n)
     return values

@@ -300,3 +300,19 @@ def test_python_dash_m_linsubres():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["coeffs"] == ["1", "-2"]
+
+
+@pytest.mark.parametrize("head", [
+    ["compute", "--m", "4", "--n", "3", "--d", "1"],
+    ["compute", "--m", "4", "--n", "3", "--d", "2", "--cofactors", "--field", "fp:101"],
+    ["psres", "--m", "4", "--n", "3"],
+])
+def test_negative_values_after_a_space(capsys, head):
+    """`--alpha -5/2` parses as `--alpha=-5/2`, for --beta and psres too."""
+    outputs = []
+    for tail in (["--alpha", "-5/2", "--beta", "-7"], ["--alpha=-5/2", "--beta=-7"],
+                 ["--beta", "-7", "--alpha", "-5/2"]):
+        assert main(head + tail) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0])["alpha"] in ("-5/2", str(prime_field(101).from_str("-5/2")))

@@ -198,6 +198,18 @@ def test_sres_fast_linear_growth():
     assert totals[256] <= 2.5 * totals[128] + 50
 
 
+def test_sres_bernstein_op_counts_at_most_2_5x_per_doubling():
+    """The pair-basis tally is credited by formula on both fields; it must
+    stay linear, like criterion 11 holds fast and psres_all to."""
+    F = prime_field(1000003)
+    totals = {}
+    for size in (64, 128, 256, 512, 1024, 2048):
+        spec = ProblemSpec(size, size, size // 2, F.element(1), F.element(2))
+        totals[size] = sres_bernstein(spec).op_count.total()
+    for size in (64, 128, 256, 512, 1024):
+        assert totals[2 * size] <= 2.5 * totals[size]
+
+
 def test_sres_bernstein_example():
     result = sres_bernstein(spec_of(4, 3, 2, 2, 5))
     assert result.basis is Basis.BERNSTEIN

@@ -19,13 +19,21 @@ from hypothesis import example, given, settings, strategies as st
 from linsubres.combinat import factorial_ratio
 from linsubres.errors import CharacteristicError
 from linsubres.fastsubres import (
+    _credit_ratio_chain,
     bernstein_to_monomial,
     cofactors,
     leading_coefficient_sd,
     sres_bernstein,
     sres_fast,
 )
-from linsubres.field import count_ops, parse_field_spec, prime_field, rationals
+from linsubres.field import (
+    binary_pow,
+    count_ops,
+    inject_nonzero,
+    parse_field_spec,
+    prime_field,
+    rationals,
+)
 from linsubres.jacobi import expand_pair_basis, pair_basis_coeffs
 from linsubres.poly import ProblemSpec, power_of_linear, psres_oracle, sres_oracle
 from linsubres.psres import psres_all, psres_schedule
@@ -181,6 +189,86 @@ def test_fp_outputs_match_the_recorded_pins(entry, m, n, d, p, a, b, tally, dige
     joined = ",".join(str(v.payload) for v in values)
     assert hashlib.sha256(joined.encode()).hexdigest() == digest
     assert _tally(counter) == tally
+
+
+def _fieldvalue_recurrence(spec):
+    """Reference: sres_fast's FieldValue loop, which ran the recurrence over
+    F_p before the residue kernel (for d >= 1; d = 0 is the leading
+    coefficient alone).  It skips the s_{t+2} term after a zero."""
+    F, m, n, d = spec.descriptor, spec.m, spec.n, spec.d
+    with count_ops() as counter:
+        out = [F.zero] * d + [leading_coefficient_sd(spec)]
+        alpha_beta = spec.alpha * spec.beta if d else None
+        above, above2 = out[d], F.zero
+        for t in range(d - 1, -1, -1):
+            acc = (F.element(n - t - 1) * spec.alpha + F.element(m - t - 1) * spec.beta) * above
+            if not above2.is_zero():
+                acc = acc + F.element(t + 2) * alpha_beta * above2
+            acc = acc * F.element(t + 1)
+            value = -(acc / inject_nonzero(F, (d - t) * (m + n - d - t - 1), "(d-t)(m+n-d-t-1)"))
+            out[t] = value
+            above2, above = above, value
+    return tuple(out), counter
+
+
+def _fieldvalue_bernstein(spec):
+    """Reference: sres_bernstein with its FieldValue c_j chain over F_p."""
+    F, m, n, d = spec.descriptor, spec.m, spec.n, spec.d
+    with count_ops() as counter:
+        prefactor = binary_pow(spec.alpha - spec.beta, (m - d) * (n - d))
+        out = [F.one]
+        if d:
+            _credit_ratio_chain(d - 1, min(m - d - 1, n - d), d - 1)
+            out = [factorial_ratio([range(d), range(m + n - 2 * d - 1, m + n - d - 1)],
+                                   [range(m - d - 1, m - 1), range(n - d, n)], F)]
+        for j in range(1, d + 1):
+            numerator = F.element((d - j + 1) * (n - d + j - 1))
+            out.append(out[-1] * numerator / inject_nonzero(F, j * (m - j), "j(m-j)"))
+    return tuple(out), prefactor, counter
+
+
+def _next_prime(k):
+    while k < 2 or any(k % q == 0 for q in range(2, math.isqrt(k) + 1)):
+        k += 1
+    return k
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 80), n=st.integers(1, 80), above=st.integers(0, 3),
+       large=st.booleans(), roots=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)))
+@example(m=80, n=80, above=0, large=False, roots=(3, 10**6 - 2))
+@example(m=80, n=80, above=0, large=False, roots=(5, 5))
+def test_fp_kernels_match_the_fieldvalue_routes(m, n, above, large, roots):
+    """For every d, the residue kernels return the FieldValue routes'
+    coefficients and op counts, from the smallest generic prime
+    p >= m + n - d upward (where residues vanish and the recurrence skips
+    terms) and at p = 1000003; psres_all against psres_schedule."""
+    def prime(lowest):
+        p = 1000003 if large else _next_prime(lowest)
+        for _ in range(above):
+            p = _next_prime(p + 1)
+        return prime_field(p)
+
+    F = prime(m + n)
+    alpha, beta = F.element(roots[0]), F.element(roots[1])
+    with count_ops() as fast:
+        values = psres_all(m, n, alpha, beta)
+    with count_ops() as reference:
+        expected = list(psres_schedule(m, n, alpha, beta).values)
+    assert (values, _tally(fast)) == (expected, _tally(reference)), (m, n, F)
+    for d in range(min(m, n)):
+        F = prime(m + n - d)
+        alpha, beta = F.element(roots[0]), F.element(roots[1])
+        if alpha == beta:
+            continue
+        spec = ProblemSpec(m, n, d, alpha, beta)
+        coeffs, counter = _fieldvalue_recurrence(spec)
+        result = sres_fast(spec)
+        assert (result.coeffs, _tally(result.op_count)) == (coeffs, _tally(counter)), (m, n, d, F)
+        coeffs, prefactor, counter = _fieldvalue_bernstein(spec)
+        result = sres_bernstein(spec)
+        assert (result.coeffs, result.prefactor, _tally(result.op_count)) == (
+            coeffs, prefactor, _tally(counter)), (m, n, d, F)
 
 
 _RANGE = st.tuples(st.integers(0, 40), st.integers(0, 12)).map(lambda t: range(t[0], t[0] + t[1]))
