@@ -253,14 +253,17 @@ def sres_fast(spec: ProblemSpec) -> SubresResult:
             above = out[d]              # s_{t+1}
             above2 = descriptor.zero    # s_{t+2}
             for t in range(d - 1, -1, -1):
-                acc = (descriptor.element(n - t - 1) * alpha
-                       + descriptor.element(m - t - 1) * beta) * above
+                acc = (
+                    descriptor.element(n - t - 1) * alpha
+                    + descriptor.element(m - t - 1) * beta
+                ) * above
                 if not above2.is_zero():
                     acc = acc + descriptor.element(t + 2) * alpha_beta * above2
                 acc = acc * descriptor.element(t + 1)
                 value = -(acc / descriptor.element((d - t) * (m + n - d - t - 1)))
                 out[t] = value
-                above2, above = above, value
+                above2 = above
+                above = value
             coeffs = tuple(out)
     return SubresResult(
         spec=spec,

@@ -208,8 +208,8 @@ class FieldDescriptor:
         raise TypeError(f"cannot inject {type(value).__name__} into F_{self.modulus}")
 
     def from_ints(self, values) -> tuple:
-        """Wrap Python ints without reducing them again: exact integers over
-        Q, residues in [0, p) over F_p."""
+        """Wrap canonical payloads, unchecked: integers over Q, residues
+        already in [0, p) over F_p (the output of an integer kernel)."""
         wrap = int if self.modulus else Fraction
         return tuple(FieldValue(self, wrap(v)) for v in values)
 

@@ -161,9 +161,8 @@ def _credit_schedule(m: int, n: int) -> None:
 
 
 def _downward(m: int, n: int, delta: int, p: int) -> list:
-    """The principal subresultants for delta != 0, by the downward chain of
-    the module docstring: on integers for p = 0, on residues mod p for a
-    prime p >= m + n."""
+    """The principal subresultants for delta != 0 by the downward chain of
+    the module docstring, on integers (p = 0) or residues mod p >= m + n."""
     low = min(m, n)
     top = low - 1
     s = factorial_ratio([range(top), range(m + n - 2 * top, m + n - top)],
