@@ -3,7 +3,7 @@
 Public surface: exact fields with operation counting (field), dense
 polynomials and the determinant oracle (poly), combinatorial images
 (combinat), Jacobi polynomial machinery (jacobi), the fast subresultant
-and cofactor algorithms (fastsubres), the principal-subresultant schedule
+and cofactor algorithms (fastsubres), all principal subresultants at once
 (psres), and a CLI (cli).
 """
 

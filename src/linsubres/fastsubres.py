@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .combinat import factorial_ratio
@@ -187,8 +189,8 @@ def _recurrence_int(m: int, n: int, d: int, alpha: int, beta: int, top: int, p: 
     """sres_fast's downward recurrence on Python ints, for integer roots
     over Q (p = 0: every s_t is an integer, so the division is an exact //)
     and for residues over F_p (a multiplication by pow(den, -1, p)).
-    Credits the tally the FieldValue loop records, whose s_{t+2} term is
-    skipped when s_{t+2} = 0."""
+    Credits the tally of the recurrence in field arithmetic, whose s_{t+2}
+    term is skipped when s_{t+2} = 0."""
     out = [0] * (d + 1)
     out[d] = top
     alpha_beta = alpha * beta % p if p else alpha * beta
@@ -219,10 +221,11 @@ def sres_fast(spec: ProblemSpec) -> SubresResult:
 
     O(min(m, n) + d + log(mn)) operations total.  Boundary case: the single
     constant (-1)^(md) (alpha-beta)^((m-d)(n-d)+d).  Vanishing band: zeros.
-    Over F_p, and over Q with integer alpha and beta, the recurrence runs
-    on Python ints (_recurrence_int: residues mod p, or exact integers),
-    crediting the op count of the FieldValue loop, which is left to Q with
-    non-integer roots.
+    The recurrence runs on Python ints (_recurrence_int): residues over
+    F_p, exact integers over Q.  s_t is homogeneous of degree (m-d)(n-d)
+    + d - t in (alpha, beta), so with alpha = a/q and beta = b/q over a
+    common denominator (q = 1 over F_p) it is s_t(a, b) / q^(that degree).
+    The op count is that of the recurrence in field arithmetic.
     """
     with count_ops() as counter:
         case = classify(spec)
@@ -240,31 +243,22 @@ def sres_fast(spec: ProblemSpec) -> SubresResult:
             coeffs = (value,)
         elif d == 0:
             coeffs = (leading_coefficient_sd(spec),)
-        elif spec.alpha.payload.denominator == spec.beta.payload.denominator == 1:
-            # F_p residues, or integer roots over Q (an int is its own numerator)
-            coeffs = descriptor.from_ints(_recurrence_int(
-                m, n, d, spec.alpha.payload.numerator, spec.beta.payload.numerator,
-                leading_coefficient_sd(spec).payload.numerator, descriptor.characteristic))
         else:
-            out = [descriptor.zero] * (d + 1)
-            out[d] = leading_coefficient_sd(spec)
-            alpha, beta = spec.alpha, spec.beta
-            alpha_beta = alpha * beta
-            above = out[d]              # s_{t+1}
-            above2 = descriptor.zero    # s_{t+2}
-            for t in range(d - 1, -1, -1):
-                acc = (
-                    descriptor.element(n - t - 1) * alpha
-                    + descriptor.element(m - t - 1) * beta
-                ) * above
-                if not above2.is_zero():
-                    acc = acc + descriptor.element(t + 2) * alpha_beta * above2
-                acc = acc * descriptor.element(t + 1)
-                value = -(acc / descriptor.element((d - t) * (m + n - d - t - 1)))
-                out[t] = value
-                above2 = above
-                above = value
-            coeffs = tuple(out)
+            alpha, beta = spec.alpha.payload, spec.beta.payload
+            q = lcm(alpha.denominator, beta.denominator)
+            a, b = (r.numerator * (q // r.denominator) for r in (alpha, beta))
+            top = leading_coefficient_sd(
+                ProblemSpec(m, n, d, descriptor.element(a), descriptor.element(b)))
+            ints = _recurrence_int(m, n, d, a, b, top.payload.numerator,
+                                   descriptor.characteristic)
+            if q == 1:
+                coeffs = descriptor.from_ints(ints)
+            else:
+                out, den = [], q ** ((m - d) * (n - d))
+                for value in reversed(ints):
+                    out.append(FieldValue(descriptor, Fraction(value, den)))
+                    den *= q
+                coeffs = tuple(reversed(out))
     return SubresResult(
         spec=spec,
         basis=Basis.MONOMIAL,

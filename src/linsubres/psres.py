@@ -1,26 +1,24 @@
 """All principal subresultants of ((x-alpha)^m, (x-beta)^n) at once.
 
-The values s_0, ..., s_{min(m,n)-1} factor through two coupled product
-chains, one rational in (m, n) only and one in powers of alpha - beta, so
-the whole vector costs O(min(m, n) + log(mn)) field operations.
+s_i = c(i) delta^((m-i)(n-i)) with delta = alpha - beta and c(i) the
+integer principal subresultant at delta = 1, so the whole vector costs
+O(min(m, n) + log(mn)) field operations.
 
-Over Q when alpha - beta is not an integer, psres_all takes the values
-from psres_schedule, which multiplies the two chains index by index in
-FieldValue arithmetic.  Otherwise, over F_p and over Q with an integer
-delta = alpha - beta != 0, psres_all runs one downward chain on Python
-ints: s_{low-1} = c(low-1) delta^((m-low+1)(n-low+1)), with c(low-1)
-from factorial_ratio, then
+psres_all runs one downward chain on Python ints.  Over F_p, and over Q
+with an integer delta != 0, it starts at s_{low-1}, with c(low-1) from
+factorial_ratio, and steps
 
-    s_{i-1} = s_i // num(u_i) * delta^(m+n-2i+1) * den(u_i),
+    s_{i-1} = s_i // num(u_i) * delta^(m+n-2i+1) * den(u_i),  u_i = c(i)/c(i-1).
 
-where u_i = c(i)/c(i-1) is the schedule's small ratio.  Over Q it is in
-lowest terms and the division is exact: c(i) and c(i-1) are integers
-(the principal subresultants at delta = 1), so num(u_i) divides c(i),
-which divides s_i = c(i) delta^((m-i)(n-i)).  Over F_p (p >= m + n, so
-every factor of num(u_i) is a unit) the chain runs on residues, with u_i
-kept as an unreduced pair and one inverse, of num(u_{low-1}), for all
-the steps.  Either way the active count_ops scopes are credited with
-psres_schedule's tally, so the op count is the same on every route.
+Over Q, u_i is in lowest terms and num(u_i) divides c(i), which divides
+s_i, so the division is exact.  Over F_p (p >= m + n, so every factor of
+num(u_i) is a unit) u_i stays an unreduced pair of residues, and one
+inverse, of num(u_{low-1}), serves every step.  For a non-integer delta
+over Q the chain at delta = 1 gives the c(i), which a downward chain of
+Fraction powers multiplies by delta^((m-i)(n-i)).  alpha = beta gives
+zeros.  psres_schedule, the reference route the tests compare psres_all
+with, builds both chains index by index in FieldValue arithmetic;
+psres_all credits the active count_ops scopes with its op tally.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from .field import (
     binary_pow_muls,
     char_of,
     credit_ops,
-    inject_nonzero,
     prime_field,
     rationals,
 )
@@ -48,7 +45,8 @@ __all__ = ["PsresSchedule", "psres_schedule", "psres_all"]
 
 @dataclass(frozen=True)
 class PsresSchedule:
-    """The chains behind the principal subresultant vector.
+    """The chains behind the principal subresultants, as the reference
+    route psres_schedule builds them in FieldValue arithmetic.
 
     With mn = min(m, n) and delta = alpha - beta:
 
@@ -93,7 +91,7 @@ def _check_args(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> FieldDes
 
 
 def psres_schedule(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> PsresSchedule:
-    """Build the full schedule.  Needs characteristic 0 or >= m + n."""
+    """The reference route for psres_all.  Needs characteristic 0 or >= m + n."""
     descriptor = _check_args(m, n, alpha, beta)
     low = min(m, n)
     if alpha == beta:
@@ -102,15 +100,10 @@ def psres_schedule(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> Psres
             v=(), u=(), c=(), gamma=(), h=(),
             values=(descriptor.zero,) * low,
         )
-    v = []
-    for d in range(1, low - 1):
-        numerator = descriptor.element(d * (m - d) * (n - d) * (m + n - d))
-        denominator = inject_nonzero(
-            descriptor,
-            (m + n - 2 * d - 1) * (m + n - 2 * d) ** 2 * (m + n - 2 * d + 1),
-            "(m+n-2d-1)(m+n-2d)^2(m+n-2d+1)",
-        )
-        v.append(numerator / denominator)
+    # every factor of the denominators is below m + n, a unit mod p >= m + n
+    v = [descriptor.element(d * (m - d) * (n - d) * (m + n - d))
+         / descriptor.element((m + n - 2 * d - 1) * (m + n - 2 * d) ** 2 * (m + n - 2 * d + 1))
+         for d in range(1, low - 1)]
     u = []
     if low >= 2:
         u.append(binomial(m - 1, n - 1, descriptor))
@@ -141,10 +134,20 @@ def psres_all(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> list:
     """[s_0, ..., s_{min(m,n)-1}] in O(min(m,n) + log(mn)) operations."""
     descriptor = _check_args(m, n, alpha, beta)
     delta = alpha.payload - beta.payload
-    if delta and delta.denominator == 1:
+    if not delta:
+        return [descriptor.zero] * min(m, n)
+    if delta.denominator == 1:
         return list(descriptor.from_ints(
             _downward(m, n, delta.numerator, descriptor.characteristic)))
-    return list(psres_schedule(m, n, alpha, beta).values)
+    c = _downward(m, n, 1, 0)
+    top = len(c) - 1
+    h, step = delta ** ((m - top) * (n - top)), delta ** (m + n - 2 * top + 1)
+    values = [FieldValue(descriptor, c[top] * h)]
+    for i in range(top - 1, -1, -1):
+        h *= step
+        step *= delta * delta
+        values.append(FieldValue(descriptor, c[i] * h))
+    return values[::-1]
 
 
 def _credit_schedule(m: int, n: int) -> None:

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from linsubres.cli import run_bench
+from linsubres.cli import _sample_pairs, run_bench
 from linsubres.fastsubres import (
     CharCase,
     bernstein_to_monomial,
@@ -48,20 +48,6 @@ def criterion(number, summary):
         return wrapper
 
     return decorate
-
-
-def _pairs(descriptor, rng, count):
-    """Distinct alpha != beta; residues mod p, small integers over Q."""
-    p = descriptor.characteristic
-    pairs = []
-    while len(pairs) < count:
-        if p:
-            a, b = rng.randrange(p), rng.randrange(p)
-        else:
-            a, b = rng.randint(-9, 9), rng.randint(-9, 9)
-        if a != b:
-            pairs.append((descriptor.element(a), descriptor.element(b)))
-    return pairs
 
 
 def _int_pairs(rng, count):
@@ -114,7 +100,7 @@ def test_criterion_01_oracle_equivalence():
         p = descriptor.characteristic
         for m in range(1, 9):
             for n in range(1, 9):
-                for alpha, beta in _pairs(descriptor, rng, 20):
+                for alpha, beta in _sample_pairs(descriptor, rng, 20):
                     f = power_of_linear(alpha, m)
                     g = power_of_linear(beta, n)
                     for d in range(min(m, n)):
@@ -206,7 +192,7 @@ def test_criterion_05_bezout_identity():
         p = descriptor.characteristic
         for m in range(1, 9):
             for n in range(1, 9):
-                for alpha, beta in _pairs(descriptor, rng, 20):
+                for alpha, beta in _sample_pairs(descriptor, rng, 20):
                     f = power_of_linear(alpha, m)
                     g = power_of_linear(beta, n)
                     for d in range(min(m, n)):
@@ -273,7 +259,7 @@ def test_criterion_08_psres_vector():
             for n in range(1, 9):
                 if p and p < m + n:
                     continue
-                for alpha, beta in _pairs(descriptor, rng, 5):
+                for alpha, beta in _sample_pairs(descriptor, rng, 5):
                     f = power_of_linear(alpha, m)
                     g = power_of_linear(beta, n)
                     values = psres_all(m, n, alpha, beta)

@@ -2,13 +2,13 @@
 recurrence, the downward psres chain, and the op counts they credit.
 
 The entry points take their factorial-ratio seeds from factorial_ratio on
-both fields and, except over Q with non-integer roots, run their chains
-on Python ints instead of FieldValue arithmetic: exact integers over Q,
-residues over F_p.  These tests hold them to the determinant oracle, to
-the F_p route mod a large prime, to exact products of the closed-form
-ratios, to psres_schedule, to FieldValue copies of the F_p loops they
-replaced, to outputs recorded before that, and to the op counts the
-FieldValue route records.
+both fields and run their chains on Python ints instead of FieldValue
+arithmetic: exact integers over Q (on the numerators over a common
+denominator for rational roots), residues over F_p.  These tests hold
+them to the determinant oracle, to the F_p route mod a large prime, to
+exact products of the closed-form ratios, to psres_schedule, to FieldValue
+copies of the loops they replaced, to outputs recorded before that, and
+to the op counts the FieldValue route records.
 """
 
 import hashlib
@@ -175,10 +175,31 @@ FP_PINS = [
 ]
 
 
-@pytest.mark.parametrize("entry, m, n, d, p, a, b, tally, digest", FP_PINS)
-def test_fp_outputs_match_the_recorded_pins(entry, m, n, d, p, a, b, tally, digest):
-    F = prime_field(p)
-    alpha, beta = F.element(a), F.element(b)
+# Outputs and op counts over Q with rational roots, recorded before
+# sres_fast and psres_all ran them on integer numerators (when they took
+# the FieldValue loop and psres_schedule): the sha256 of the comma-joined
+# payloads as hex "numerator/denominator", and (adds, muls, divs, negs).
+Q_PINS = [
+    ("sres_fast", 160, 160, 80, "1/2", "-1/3", (160, 811, 239, 80),
+     "db4cdf86d69271511de5a3247e53126802fdb5151e5c512f51a0cd71bb53c4b2"),
+    ("sres_bernstein", 160, 160, 80, "1/2", "-1/3", (1, 410, 238, 0),
+     "f2d47cdb208c3dac9872411f4b4deec1b2fd38f0eb1319cc5944234f2eec31bb"),
+    ("psres_all", 160, 160, None, "1/2", "-1/3", (1, 984, 318, 0),
+     "a6001aade429ea35b86507e5351fa43f2b3b65860d474396cb86c90478a1b277"),
+    ("sres_fast", 160, 100, 10, "-7/9", "5/8", (20, 197, 109, 10),
+     "0de183e204fe02b39d313cb7bae1fb0242981e5b9f305b210353fefa3e9c160d"),
+    ("sres_bernstein", 160, 100, 10, "-7/9", "5/8", (1, 147, 109, 0),
+     "cb6ec5a73b9aa2bec522fe7a6a9c2fd5711635ed23f3bfa7bfd6c5531934375b"),
+    ("psres_all", 160, 100, None, "-7/9", "5/8", (1, 622, 198, 0),
+     "047884d8dfe161767764b6e138597748abda1d3e1b31fa932ef1d1346fd7a0f7"),
+    ("psres_all", 256, 256, None, "5/6", "0", (1, 1562, 510, 0),
+     "bb9857d1c60c33d407b84c437e01cf861f8ceb59b1a5b308a8e2f5d604b82424"),
+]
+
+
+def _pinned_values(entry, m, n, d, alpha, beta):
+    """The values an entry point returns (coefficients, then the pair-basis
+    prefactor) and its op counter."""
     with count_ops() as counter:
         if entry == "psres_all":
             values = psres_all(m, n, alpha, beta)
@@ -188,15 +209,31 @@ def test_fp_outputs_match_the_recorded_pins(entry, m, n, d, p, a, b, tally, dige
             values = list(result.coeffs)
             if result.prefactor is not None:
                 values.append(result.prefactor)
+    return values, counter
+
+
+@pytest.mark.parametrize("entry, m, n, d, p, a, b, tally, digest", FP_PINS)
+def test_fp_outputs_match_the_recorded_pins(entry, m, n, d, p, a, b, tally, digest):
+    F = prime_field(p)
+    values, counter = _pinned_values(entry, m, n, d, F.element(a), F.element(b))
     joined = ",".join(str(v.payload) for v in values)
+    assert hashlib.sha256(joined.encode()).hexdigest() == digest
+    assert _tally(counter) == tally
+
+
+@pytest.mark.parametrize("entry, m, n, d, a, b, tally, digest", Q_PINS)
+def test_q_outputs_match_the_recorded_pins(entry, m, n, d, a, b, tally, digest):
+    values, counter = _pinned_values(entry, m, n, d, *_roots(Q, a, b))
+    joined = ",".join(f"{v.payload.numerator:x}/{v.payload.denominator:x}" for v in values)
     assert hashlib.sha256(joined.encode()).hexdigest() == digest
     assert _tally(counter) == tally
 
 
 def _fieldvalue_recurrence(spec):
     """Reference: sres_fast's FieldValue loop, which ran the recurrence over
-    F_p before the residue kernel (for d >= 1; d = 0 is the leading
-    coefficient alone).  It skips the s_{t+2} term after a zero."""
+    F_p and over Q with rational roots before the integer kernel (for
+    d >= 1; d = 0 is the leading coefficient alone).  It skips the s_{t+2}
+    term after a zero."""
     F, m, n, d = spec.descriptor, spec.m, spec.n, spec.d
     with count_ops() as counter:
         out = [F.zero] * d + [leading_coefficient_sd(spec)]
@@ -214,7 +251,8 @@ def _fieldvalue_recurrence(spec):
 
 
 def _fieldvalue_bernstein(spec):
-    """Reference: sres_bernstein with its FieldValue c_j chain over F_p."""
+    """Reference: sres_bernstein with a FieldValue c_j chain, as it ran over
+    F_p before the residue kernel."""
     F, m, n, d = spec.descriptor, spec.m, spec.n, spec.d
     with count_ops() as counter:
         prefactor = binary_pow(spec.alpha - spec.beta, (m - d) * (n - d))
@@ -235,42 +273,59 @@ def _next_prime(k):
     return k
 
 
+_Q_ROOT = st.tuples(st.integers(-10**6, 10**6), st.sampled_from([1, 2, 3, 4, 6, 9, P61])).map(
+    lambda t: f"{t[0]}/{t[1]}")
+
+
 @settings(max_examples=40, deadline=None)
 @given(m=st.integers(1, 80), n=st.integers(1, 80), above=st.integers(0, 3),
-       large=st.booleans(), roots=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)))
-@example(m=80, n=80, above=0, large=False, roots=(3, 10**6 - 2))
-@example(m=80, n=80, above=0, large=False, roots=(5, 5))
-def test_fp_kernels_match_the_fieldvalue_routes(m, n, above, large, roots):
-    """For every d, the residue kernels return the FieldValue routes'
-    coefficients and op counts, from the smallest generic prime
-    p >= m + n - d upward (where residues vanish and the recurrence skips
-    terms) and at p = 1000003; psres_all against psres_schedule."""
-    def prime(lowest):
+       large=st.booleans(), roots=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+       rational=st.one_of(st.none(), st.tuples(_Q_ROOT, _Q_ROOT)))
+@example(m=80, n=80, above=0, large=False, roots=(3, 10**6 - 2), rational=None)
+@example(m=80, n=80, above=0, large=False, roots=(5, 5), rational=None)
+@example(m=17, n=23, above=0, large=False, roots=(0, 0), rational=("2/3", "-5/4"))
+@example(m=9, n=14, above=0, large=False, roots=(0, 0), rational=(f"-5/{P61}", "7/2"))
+@example(m=20, n=20, above=0, large=False, roots=(0, 0), rational=("-4/6", "5"))
+@example(m=12, n=19, above=0, large=False, roots=(0, 0), rational=("0", "1/7"))
+@example(m=21, n=16, above=0, large=False, roots=(0, 0), rational=("1/2", "-3/2"))
+@example(m=15, n=15, above=0, large=False, roots=(0, 0), rational=("-4/6", "-2/3"))
+def test_fp_kernels_match_the_fieldvalue_routes(m, n, above, large, roots, rational):
+    """For every d, the integer kernels return the FieldValue routes'
+    coefficients and op counts, and psres_all returns psres_schedule's.
+    Over F_p from the smallest generic prime p >= m + n - d upward (where
+    residues vanish and the recurrence skips terms) and at p = 1000003;
+    over Q with the rational roots `rational`, whose coefficients grow
+    with mn, for m, n <= 30."""
+    def roots_in(lowest):
+        if rational is not None:
+            return _roots(Q, *rational)
         p = 1000003 if large else _next_prime(lowest)
         for _ in range(above):
             p = _next_prime(p + 1)
-        return prime_field(p)
+        F = prime_field(p)
+        return F.element(roots[0]), F.element(roots[1])
 
-    F = prime(m + n)
-    alpha, beta = F.element(roots[0]), F.element(roots[1])
+    if rational is not None:
+        m, n = min(m, 30), min(n, 30)
+    alpha, beta = roots_in(m + n)
     with count_ops() as fast:
         values = psres_all(m, n, alpha, beta)
     with count_ops() as reference:
         expected = list(psres_schedule(m, n, alpha, beta).values)
-    assert (values, _tally(fast)) == (expected, _tally(reference)), (m, n, F)
+    assert (values, _tally(fast)) == (expected, _tally(reference)), (m, n, alpha)
     for d in range(min(m, n)):
-        F = prime(m + n - d)
-        alpha, beta = F.element(roots[0]), F.element(roots[1])
+        alpha, beta = roots_in(m + n - d)
         if alpha == beta:
             continue
         spec = ProblemSpec(m, n, d, alpha, beta)
         coeffs, counter = _fieldvalue_recurrence(spec)
         result = sres_fast(spec)
-        assert (result.coeffs, _tally(result.op_count)) == (coeffs, _tally(counter)), (m, n, d, F)
+        assert (result.coeffs, _tally(result.op_count)) == (coeffs, _tally(counter)), (
+            m, n, d, alpha)
         coeffs, prefactor, counter = _fieldvalue_bernstein(spec)
         result = sres_bernstein(spec)
         assert (result.coeffs, result.prefactor, _tally(result.op_count)) == (
-            coeffs, prefactor, _tally(counter)), (m, n, d, F)
+            coeffs, prefactor, _tally(counter)), (m, n, d, alpha)
 
 
 _RANGE = st.tuples(st.integers(0, 40), st.integers(0, 12)).map(lambda t: range(t[0], t[0] + t[1]))
