@@ -5,6 +5,9 @@ are injected into the field, so the operation counts reported by the
 algorithms reflect actual field work.  factorial_ratio is the exception:
 it works on Python ints (exact over Q, residues over F_p) and performs no
 counted field operation; its callers credit the ratio chain it replaces.
+It has two routes: prefix products of a! mod p when p exceeds every
+factorial argument, and Legendre prime exponents from a sieve over Q and
+for a p inside the range, where the ratio can be zero or undefined.
 """
 
 from __future__ import annotations
@@ -80,16 +83,23 @@ def factorial_ratio(numerator, denominator, descriptor: FieldDescriptor) -> Fiel
     / prod b! (b in the denominator ranges).
 
     Each argument is an iterable of unit-step ranges of nonnegative
-    factorial arguments.  The multiplicity of every k in the merged
-    product is a suffix sum over a difference array of the ranges, so
-    counting is O(N) for N the largest argument; a smallest-prime-factor
-    sieve (built per call) pushes each composite's count onto its factors,
-    which leaves Legendre's prime exponents.  Over Q the prime powers are
-    multiplied in a balanced product tree (multiplying the factorials out
-    instead is an order of magnitude slower); over F_p they are reduced
-    mod p and the denominator is inverted once.  Over F_p a ratio with a
-    positive net exponent of p is zero, and one with a negative net
-    exponent raises CharacteristicError.
+    factorial arguments.  The route depends only on p and the ranges.
+
+    Over F_p with p at least every range stop, every a! is a unit, and
+    with SF(k) = prod_{a<k} a! mod p a range [s, t) contributes
+    SF(t) / SF(s): one pass k = 1..top keeps k! and SF(k), and the whole
+    ratio costs one inverse.
+
+    Otherwise (over Q, or p inside the range) the multiplicity of every k
+    in the merged product is a suffix sum over a difference array of the
+    ranges, so counting is O(N) for N the largest argument; a
+    smallest-prime-factor sieve (built per call) pushes each composite's
+    count onto its factors, which leaves Legendre's prime exponents.  Over
+    Q the prime powers are multiplied in a balanced product tree
+    (multiplying the factorials out instead is an order of magnitude
+    slower); over F_p they are reduced mod p and the denominator is
+    inverted once, a ratio with a positive net exponent of p is zero, and
+    one with a negative net exponent raises CharacteristicError.
     """
     spans = [(r, 1) for r in numerator] + [(r, -1) for r in denominator]
     for r, _ in spans:
@@ -97,6 +107,19 @@ def factorial_ratio(numerator, denominator, descriptor: FieldDescriptor) -> Fiel
             raise ValueError(f"factorial arguments must be unit-step ranges of "
                              f"nonnegative integers, got {r!r}")
     top = max((r.stop for r, _ in spans if r), default=1)
+    p = descriptor.characteristic
+    if p and p >= top:
+        sf, fact = [1], 1
+        for k in range(1, top + 1):
+            sf.append(sf[-1] * fact % p)
+            fact = fact * k % p
+        num = den = 1
+        for r, sign in spans:
+            if r:
+                up, down = (r.stop, r.start) if sign > 0 else (r.start, r.stop)
+                num = num * sf[up] % p
+                den = den * sf[down] % p
+        return FieldValue(descriptor, num * pow(den, -1, p) % p)
     diff = [0] * (top + 1)
     for r, sign in spans:
         if r:
@@ -108,19 +131,18 @@ def factorial_ratio(numerator, denominator, descriptor: FieldDescriptor) -> Fiel
     exponent = list(accumulate(reversed(factorials)))[::-1]
     # spf[k]: smallest prime factor of k; smaller primes overwrite larger
     spf = list(range(top))
-    small = [p for p in range(2, isqrt(top - 1) + 1)
-             if all(p % q for q in range(2, isqrt(p) + 1))]
-    for p in reversed(small):
-        spf[p * p::p] = [p] * len(range(p * p, top, p))
+    small = [f for f in range(2, isqrt(top - 1) + 1)
+             if all(f % q for q in range(2, isqrt(f) + 1))]
+    for f in reversed(small):
+        spf[f * f::f] = [f] * len(range(f * f, top, f))
     # move each composite's exponent onto spf[k] and k // spf[k], both
     # smaller than k, so one downward pass leaves only prime exponents
     for k in range(top - 1, 3, -1):
-        p = spf[k]
-        if p != k and exponent[k]:
-            exponent[p] += exponent[k]
-            exponent[k // p] += exponent[k]
+        f = spf[k]
+        if f != k and exponent[k]:
+            exponent[f] += exponent[k]
+            exponent[k // f] += exponent[k]
     primes = [(q, exponent[q]) for q in range(2, top) if spf[q] == q and exponent[q]]
-    p = descriptor.characteristic
     if not p:
         num = _product_tree([q ** e for q, e in primes if e > 0])
         den = _product_tree([q ** -e for q, e in primes if e < 0])

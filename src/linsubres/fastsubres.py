@@ -164,8 +164,8 @@ def leading_coefficient_sd(spec: ProblemSpec) -> FieldValue:
         s_d = (alpha-beta)^((m-d)(n-d)) * prod_{i=1}^{d} r_i,
         r_i = (i-1)! (m+n-d-i)! / ((m-i)! (n-i)!).
 
-    The product is one factorial_ratio (prime exponents, then a product
-    tree over Q or powers mod p over F_p), and the active count_ops scopes
+    The product is one factorial_ratio (prime powers in a product tree
+    over Q, prefix products mod p over F_p), and the active count_ops scopes
     are credited with the tally of the downward ratio chain
     r_d = (d-1)! C(m+n-2d, m-d), r_i = r_{i+1} (m+n-d-i) / (i (m-i) (n-i)).
     Nonzero by construction.  O(min(m, n) + log(mn)) operations.  Generic
@@ -188,23 +188,47 @@ def leading_coefficient_sd(spec: ProblemSpec) -> FieldValue:
 def _recurrence_int(m: int, n: int, d: int, alpha: int, beta: int, top: int, p: int) -> list:
     """sres_fast's downward recurrence on Python ints, for integer roots
     over Q (p = 0: every s_t is an integer, so the division is an exact //)
-    and for residues over F_p (a multiplication by pow(den, -1, p)).
-    Credits the tally of the recurrence in field arithmetic, whose s_{t+2}
-    term is skipped when s_{t+2} = 0."""
+    and for residues over F_p.  Over F_p it carries s'_t = D_t s_t with
+    D_t = prod_{u=t}^{d-1} den_u, den_u = (d-u)(m+n-d-u-1), which obeys
+
+        s'_t = -(t+1) [B_t s'_{t+1} + (t+2) alpha beta den_{t+1} s'_{t+2}],
+        B_t = (n-t-1) alpha + (m-t-1) beta,
+
+    without a division; one inverse of D_0 and the walk back up,
+    1/D_{t+1} = den_t / D_t, give the s_t.  Credits the tally of the
+    recurrence in field arithmetic, whose s_{t+2} term is skipped when
+    s_{t+2} = 0 (over F_p s'_{t+2} = 0 exactly then, as D_t is a unit)."""
     out = [0] * (d + 1)
     out[d] = top
-    alpha_beta = alpha * beta % p if p else alpha * beta
     above, above2 = top, 0
     full = 0
-    for t in range(d - 1, -1, -1):
-        acc = ((n - t - 1) * alpha + (m - t - 1) * beta) * above
-        if above2:
-            acc += (t + 2) * alpha_beta * above2
-            full += 1
-        den = (d - t) * (m + n - d - t - 1)
-        value = -acc * (t + 1) * pow(den, -1, p) % p if p else -(acc * (t + 1) // den)
-        out[t] = value
-        above2, above = above, value
+    if p:
+        alpha_beta = alpha * beta % p
+        scale = den_above = 1
+        for t in range(d - 1, -1, -1):
+            acc = ((n - t - 1) * alpha + (m - t - 1) * beta) * above
+            if above2:
+                acc += (t + 2) * alpha_beta * den_above % p * above2
+                full += 1
+            den_above = (d - t) * (m + n - d - t - 1)
+            scale = scale * den_above % p
+            value = -acc * (t + 1) % p
+            out[t] = value
+            above2, above = above, value
+        inverse = pow(scale, -1, p)
+        for t in range(d):
+            out[t] = out[t] * inverse % p
+            inverse = inverse * ((d - t) * (m + n - d - t - 1)) % p
+    else:
+        alpha_beta = alpha * beta
+        for t in range(d - 1, -1, -1):
+            acc = ((n - t - 1) * alpha + (m - t - 1) * beta) * above
+            if above2:
+                acc += (t + 2) * alpha_beta * above2
+                full += 1
+            value = -(acc * (t + 1) // ((d - t) * (m + n - d - t - 1)))
+            out[t] = value
+            above2, above = above, value
     credit_ops(adds=d + full, muls=1 + 4 * d + 2 * full, divs=d, negs=d)
     return out
 
@@ -280,8 +304,10 @@ def sres_bernstein(spec: ProblemSpec) -> SubresResult:
 
         c_j = c_{j-1} (d-j+1)(n-d+j-1) / (j (m-j)).
 
-    The c_j chain runs on Python ints, exact // over Q and residues times
-    pow(den, -1, p) over F_p, crediting the op count of a FieldValue chain.
+    The c_j chain runs on Python ints, crediting the op count of a
+    FieldValue chain: exact // over Q; over F_p running products of the
+    numerators and of the denominators j(m-j), with one inverse, of the
+    last denominator product, for the whole chain.
     O(min(m, n) + d + log(mn)) operations.  Generic case only.
     """
     with count_ops() as counter:
@@ -301,10 +327,22 @@ def sres_bernstein(spec: ProblemSpec) -> SubresResult:
             credit_ops(muls=d, divs=d)
             c, p = c.payload.numerator, descriptor.characteristic
             out = [c]
-            for j in range(1, d + 1):
-                c *= (d - j + 1) * (n - d + j - 1)
-                c = c * pow(j * (m - j), -1, p) % p if p else c // (j * (m - j))
-                out.append(c)
+            if p:
+                # out[j] = c_0 N_j and scale = E_d, for N_j and E_j the
+                # products of the numerators and denominators up to j; one
+                # inverse of E_d, then 1/E_{j-1} = j (m-j) / E_j going back
+                scale = 1
+                for j in range(1, d + 1):
+                    out.append(out[-1] * ((d - j + 1) * (n - d + j - 1)) % p)
+                    scale = scale * (j * (m - j)) % p
+                inverse = pow(scale, -1, p)
+                for j in range(d, 0, -1):
+                    out[j] = out[j] * inverse % p
+                    inverse = inverse * (j * (m - j)) % p
+            else:
+                for j in range(1, d + 1):
+                    c = c * ((d - j + 1) * (n - d + j - 1)) // (j * (m - j))
+                    out.append(c)
             coeffs = descriptor.from_ints(out)
     return SubresResult(
         spec=spec,
@@ -437,6 +475,7 @@ def result_from_json(obj: dict) -> SubresResult:
         basis=Basis(obj["basis"]),
         coeffs=tuple(descriptor.from_str(s) for s in obj["coeffs"]),
         case=CharCase(obj["case"]),
-        op_count=OpCounter(adds=ops["add"], muls=ops["mul"], divs=ops["div"]),
+        op_count=OpCounter(adds=ops["add"], muls=ops["mul"], divs=ops["div"],
+                           negs=ops["neg"]),
         prefactor=None if prefactor is None else descriptor.from_str(prefactor),
     )

@@ -12,6 +12,7 @@ import enum
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterator, Union
 
 from .errors import (
@@ -92,8 +93,9 @@ class OpCounter:
         return OpCounter(self.adds, self.muls, self.divs, self.negs)
 
     def as_dict(self) -> dict:
-        """JSON shape used by the CLI: additions, multiplications, divisions."""
-        return {"add": self.adds, "mul": self.muls, "div": self.divs}
+        """JSON shape used by the CLI: additions, multiplications, divisions,
+        negations."""
+        return {"add": self.adds, "mul": self.muls, "div": self.divs, "neg": self.negs}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OpCounter):
@@ -210,8 +212,9 @@ class FieldDescriptor:
     def from_ints(self, values) -> tuple:
         """Wrap canonical payloads, unchecked: integers over Q, residues
         already in [0, p) over F_p (the output of an integer kernel)."""
-        wrap = int if self.modulus else Fraction
-        return tuple(FieldValue(self, wrap(v)) for v in values)
+        if not self.modulus:
+            values = map(Fraction, values)
+        return tuple(map(FieldValue, repeat(self), values))
 
     def from_str(self, text: str) -> "FieldValue":
         try:

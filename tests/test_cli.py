@@ -37,7 +37,7 @@ def test_compute_generic(capsys):
         "m": 2, "n": 2, "d": 1, "alpha": "0", "beta": "1", "field": "q",
         "case": "generic", "basis": "monomial", "coeffs": ["1", "-2"],
     }
-    assert set(ops) == {"add", "mul", "div"}
+    assert set(ops) == {"add", "mul", "div", "neg"}
 
 
 def test_compute_boundary_with_cofactors(capsys):
@@ -93,7 +93,7 @@ def test_psres_payload(capsys):
         capsys, ["psres", "--m", "3", "--n", "3", "--alpha", "1", "--beta", "0"]
     )
     assert payload["psres"] == ["1", "6", "3"]
-    assert set(payload["ops"]) == {"add", "mul", "div"}
+    assert set(payload["ops"]) == {"add", "mul", "div", "neg"}
 
 
 def test_psres_degenerate_inputs(capsys):

@@ -315,6 +315,8 @@ def test_result_json_round_trip():
         sres_fast(spec_of(3, 2, 1, Fraction(1, 2), -2)),
         sres_bernstein(spec_of(4, 3, 2, 2, 5)),
         sres_fast(spec_of(3, 3, 2, 2, 1, F3)),
+        sres_fast(spec_of(6, 5, 3, 4, -7, F13)),
+        sres_bernstein(spec_of(6, 5, 3, 4, -7, F13)),
     ):
         payload = result_to_json(result)
         parsed = result_from_json(payload)
@@ -323,6 +325,7 @@ def test_result_json_round_trip():
         assert parsed.case is result.case
         assert parsed.coeffs == result.coeffs
         assert parsed.prefactor == result.prefactor
+        assert parsed.op_count == result.op_count
         assert result_to_json(parsed) == payload
 
 

@@ -198,8 +198,8 @@ def test_binary_pow_multiplication_bound():
 
 def test_opcounter_json_shape():
     with count_ops() as ops:
-        _ = Q.element(2) * Q.element(3)
-    assert ops.as_dict() == {"add": 0, "mul": 1, "div": 0}
+        _ = -(Q.element(2) * Q.element(3))
+    assert ops.as_dict() == {"add": 0, "mul": 1, "div": 0, "neg": 1}
 
 
 elements = st.integers(min_value=-50, max_value=50)

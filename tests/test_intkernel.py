@@ -352,10 +352,19 @@ _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 1
 
 @settings(max_examples=200, deadline=None)
 @given(numerator=st.lists(_RANGE, max_size=4), denominator=st.lists(_RANGE, max_size=4))
+# largest range stop 12, 13, 19, 43 and 60: primes just below, at and just
+# above it, where factorial_ratio changes route
+@example(numerator=[range(10, 12)], denominator=[range(3, 5)])
+@example(numerator=[range(2, 4)], denominator=[range(11, 12)])
+@example(numerator=[range(5, 5), range(12, 13)], denominator=[range(5, 7)])
+@example(numerator=[range(0, 19)], denominator=[range(1, 18)])
+@example(numerator=[range(30, 38)], denominator=[range(41, 43)])
+@example(numerator=[range(48, 60)], denominator=[range(40, 52), range(7, 9)])
 def test_factorial_ratio_over_fp_is_the_quotient_mod_p(numerator, denominator):
-    """Primes above the largest argument give the quotient mod p; a prime
-    inside the range gives zero when it divides the reduced numerator and
-    CharacteristicError when it divides the reduced denominator."""
+    """Primes at or above the largest range stop give the quotient mod p
+    (prefix products of a! mod p); a prime inside the range gives zero when
+    it divides the reduced numerator and CharacteristicError when it
+    divides the reduced denominator (Legendre exponents)."""
     expected = _factorial_quotient(numerator, denominator)
     for p in _PRIMES:
         F = prime_field(p)
