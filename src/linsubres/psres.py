@@ -13,13 +13,12 @@ factorial_ratio, and steps
 Over Q, u_i is in lowest terms and num(u_i) divides c(i), which divides
 s_i, so the division is exact.  Over F_p (p >= m + n, so every factor of
 num(u_i) is a unit) u_i stays an unreduced pair of residues, and one
-inverse, of num(u_{low-1}), serves every step; u_1 = C(m+n-2, m-1) mod p
-is a factorial_ratio too.  For a non-integer delta over Q the chain at
-delta = 1 gives the c(i), which a downward chain of Fraction powers
-multiplies by delta^((m-i)(n-i)).  alpha = beta gives zeros.
-psres_schedule, the reference route the tests compare psres_all with,
-builds both chains index by index in FieldValue arithmetic; psres_all
-credits the active count_ops scopes with its op tally.
+inverse, of num(u_{low-1}), serves every step.  For a non-integer delta
+over Q the chain at delta = 1 gives the c(i), which a downward chain of
+Fraction powers multiplies by delta^((m-i)(n-i)).  alpha = beta gives
+zeros.  psres_schedule, the reference route the tests compare psres_all
+with, builds both chains index by index in FieldValue arithmetic;
+psres_all credits the active count_ops scopes with its op tally.
 """
 
 from __future__ import annotations
@@ -169,9 +168,9 @@ def _downward(m: int, n: int, delta: int, p: int) -> list:
     the module docstring, on integers (p = 0) or residues mod p >= m + n."""
     low = min(m, n)
     top = low - 1
-    descriptor = prime_field(p) if p else rationals()
     s = factorial_ratio([range(top), range(m + n - 2 * top, m + n - top)],
-                        [range(m - top, m), range(n - top, n)], descriptor).payload.numerator
+                        [range(m - top, m), range(n - top, n)],
+                        prime_field(p) if p else rationals()).payload.numerator
     s *= pow(delta, (m - top) * (n - top), p or None)
     step = pow(delta, m + n - 2 * top + 1, p or None)
     delta_sq = delta * delta
@@ -183,9 +182,7 @@ def _downward(m: int, n: int, delta: int, p: int) -> list:
     if p:
         # u_i = num_i / den_i unreduced, so one inverse, of num_top, serves
         # every step down: 1/num_{i-1} = a_{i-1} / num_i
-        num = factorial_ratio([range(m + n - 2, m + n - 1)],
-                              [range(m - 1, m), range(n - 1, n)], descriptor).payload
-        dens = [1]
+        num, dens = comb(m + n - 2, m - 1) % p, [1]
         for a, b in v:
             num = num * a % p
             dens.append(dens[-1] * b % p)
