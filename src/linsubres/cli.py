@@ -13,21 +13,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import itertools
 import json
 import math
 import random
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CharacteristicError, LinsubresError
 from .field import (
     FieldDescriptor,
-    char_of,
     count_ops,
-    binary_pow,
     parse_field_spec,
     prime_field,
     rationals,
@@ -56,12 +55,11 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_VERIFY_FAILED = 4
 
-CSV_HEADER = ["m", "n", "d", "field", "algorithm", "adds", "muls", "divs", "wall_ns"]
 
-
-@dataclass
+@dataclasses.dataclass
 class BenchRow:
-    """One benchmark measurement; counts are the tally of exactly one run."""
+    """One benchmark measurement; counts are the tally of exactly one run.
+    The fields, in order, are the CSV columns."""
 
     m: int
     n: int
@@ -74,40 +72,20 @@ class BenchRow:
     wall_ns: int
 
     def to_csv(self) -> list:
-        return [
-            str(self.m), str(self.n), str(self.d), self.field, self.algorithm,
-            str(self.adds), str(self.muls), str(self.divs), str(self.wall_ns),
-        ]
+        return [str(value) for value in dataclasses.astuple(self)]
 
     @classmethod
     def from_csv(cls, row) -> "BenchRow":
-        return cls(
-            m=int(row[0]), n=int(row[1]), d=int(row[2]),
-            field=row[3], algorithm=row[4],
-            adds=int(row[5]), muls=int(row[6]), divs=int(row[7]),
-            wall_ns=int(row[8]),
-        )
+        return cls(*(value if column.type == "str" else int(value)
+                     for column, value in zip(dataclasses.fields(cls), row)))
 
 
-class _Report:
-    """Pass/fail tally with the first counterexample kept for printing."""
+CSV_HEADER = [column.name for column in dataclasses.fields(BenchRow)]
 
-    def __init__(self):
-        self.passed = 0
-        self.failed = 0
-        self.first_failure = None
 
-    def record(self, ok: bool, detail: dict) -> None:
-        if ok:
-            self.passed += 1
-        else:
-            self.failed += 1
-            if self.first_failure is None:
-                self.first_failure = detail
-
-    @property
-    def total(self) -> int:
-        return self.passed + self.failed
+# Verification: each check is a generator of (ok, detail) records.  The
+# `verify` suites below and the acceptance criteria run the same checks,
+# each with its own fields, degree box, pair count and seed.
 
 
 def _sample_pairs(descriptor: FieldDescriptor, rng: random.Random, count: int):
@@ -124,139 +102,166 @@ def _sample_pairs(descriptor: FieldDescriptor, rng: random.Random, count: int):
     return pairs
 
 
-def _suite_oracle(max_degree: int, primes, rng: random.Random, report: _Report) -> None:
-    """Fast algorithms against the determinant definition, plus the Bezout
-    identity and principal-subresultant vector, over Q and each F_p."""
-    fields = [rationals()] + [prime_field(p) for p in primes]
+def _cases(fields, max_degree: int, rng: random.Random, pairs: int):
+    """(m, n, alpha, beta) for each field, m, n <= max_degree and `pairs`
+    sampled root pairs.  An (m, n) with 0 < p < max(m, n) is unsupported
+    for every d, so it is skipped before any pair is drawn."""
     for descriptor in fields:
         p = descriptor.characteristic
-        field_name = descriptor.spec_string()
         for m in range(1, max_degree + 1):
             for n in range(1, max_degree + 1):
                 if p and p < max(m, n):
-                    continue  # unsupported for every d; nothing to claim
-                for alpha, beta in _sample_pairs(descriptor, rng, 3):
-                    f = power_of_linear(alpha, m)
-                    g = power_of_linear(beta, n)
-                    base = {
-                        "suite": "oracle", "field": field_name, "m": m, "n": n,
-                        "alpha": str(alpha), "beta": str(beta),
-                    }
-                    for d in range(min(m, n)):
-                        spec = ProblemSpec(m, n, d, alpha, beta)
-                        expected = sres_oracle(f, g, d)
-                        result = sres_fast(spec)
-                        ok = result.polynomial() == expected
-                        # cofactor formulas are not covered for d = 0 with
-                        # max(m, n) <= p < m + n - 1 (the value still is)
-                        if not (d == 0 and p and p < m + n - 1):
-                            pair = cofactors(spec)
-                            identity = pair.f * f + pair.g * g
-                            ok = ok and identity == expected
-                            ok = ok and (pair.f.is_zero() or pair.f.degree < n - d)
-                            ok = ok and (pair.g.is_zero() or pair.g.degree < m - d)
-                        report.record(
-                            ok, dict(base, d=d, case=result.case.value)
-                        )
-                    if p == 0 or p >= m + n:
-                        values = psres_all(m, n, alpha, beta)
-                        ok = all(
-                            values[d] == psres_oracle(f, g, d)
-                            for d in range(min(m, n))
-                        )
-                        report.record(ok, dict(base, d="all", case="psres"))
+                    continue
+                for alpha, beta in _sample_pairs(descriptor, rng, pairs):
+                    yield m, n, alpha, beta
 
 
-def _suite_jacobi(max_degree: int, primes, rng: random.Random, report: _Report) -> None:
-    """Hypergeometric vs derivative evaluation, endpoint values, and the
-    subresultant = scalar * shifted-Jacobi correspondence, over Q."""
-    rationals_field = rationals()
-    box = min(max_degree, 6)
-    for r in range(box + 1):
-        for k in range(-box, box + 1):
-            for l in range(-box, box + 1):
-                params = JacobiParams(r, k, l)
-                hyp = jacobi_hypergeometric(params, rationals_field)
-                rod = jacobi_rodrigues(params, rationals_field)
-                report.record(
-                    hyp == rod,
-                    {"suite": "jacobi", "check": "routes", "r": r, "k": k, "l": l},
-                )
-    one = rationals_field.one
-    for r in range(max_degree + 3):
-        k = rng.randint(-6, 6)
-        l = rng.randint(-6, 6)
-        poly = jacobi_hypergeometric(JacobiParams(r, k, l), rationals_field)
-        fact = Fraction(math.factorial(r))
-        at_plus = Fraction(math.prod(range(k + 1, k + r + 1)), 1) / fact
-        at_minus = Fraction((-1) ** r * math.prod(range(l + 1, l + r + 1)), 1) / fact
-        ok = poly.evaluate(one) == rationals_field.element(at_plus)
-        ok = ok and poly.evaluate(-one) == rationals_field.element(at_minus)
-        report.record(ok, {"suite": "jacobi", "check": "endpoints", "r": r, "k": k, "l": l})
-    for m in range(1, max_degree + 1):
-        for n in range(1, max_degree + 1):
-            (alpha, beta), = _sample_pairs(rationals_field, rng, 1)
-            delta = alpha - beta
-            for d in range(min(m, n)):
-                spec = ProblemSpec(m, n, d, alpha, beta)
-                scalar = Fraction(1)
-                for i in range(1, d + 1):
-                    scalar *= Fraction(
-                        math.factorial(i) * math.factorial(m + n - d - i - 1),
-                        math.factorial(m - i) * math.factorial(n - i),
-                    )
-                value = rationals_field.element(scalar) * binary_pow(
-                    delta, (m - d) * (n - d)
-                )
-                ok = sres_fast(spec).polynomial() == shifted_jacobi(spec).scale(value)
-                report.record(
-                    ok,
-                    {
-                        "suite": "jacobi", "check": "correspondence", "m": m, "n": n,
-                        "d": d, "alpha": str(alpha), "beta": str(beta),
-                    },
-                )
+def _detail(check: str, m: int, n: int, alpha, beta, **more) -> dict:
+    return {"check": check, "field": alpha.descriptor.spec_string(), "m": m, "n": n,
+            "alpha": str(alpha), "beta": str(beta), **more}
 
 
-def _suite_pade(max_degree: int, primes, rng: random.Random, report: _Report) -> None:
-    """Rational-approximation identity for (1-x)^k, characteristic 0."""
-    rationals_field = rationals()
-    cap = min(max_degree, 5)
+def _check_sres(m, n, alpha, beta):
+    """sres_fast equals the determinant definition, for every d."""
+    f, g = power_of_linear(alpha, m), power_of_linear(beta, n)
+    for d in range(min(m, n)):
+        result = sres_fast(ProblemSpec(m, n, d, alpha, beta))
+        yield (result.polynomial() == sres_oracle(f, g, d),
+               _detail("sres", m, n, alpha, beta, d=d, case=result.case.value))
+
+
+def _check_cofactors(m, n, alpha, beta):
+    """F f + G g = Sres_d with deg F < n - d and deg G < m - d, for every d
+    the closed forms cover: not d = 0 with max(m, n) <= p < m + n - 1,
+    where only the value is."""
+    p = alpha.descriptor.characteristic
+    f, g = power_of_linear(alpha, m), power_of_linear(beta, n)
+    for d in range(min(m, n)):
+        if d == 0 and p and p < m + n - 1:
+            continue
+        spec = ProblemSpec(m, n, d, alpha, beta)
+        pair = cofactors(spec)
+        ok = pair.f * f + pair.g * g == sres_fast(spec).polynomial()
+        ok = ok and (pair.f.is_zero() or pair.f.degree < n - d)
+        ok = ok and (pair.g.is_zero() or pair.g.degree < m - d)
+        yield ok, _detail("cofactors", m, n, alpha, beta, d=d)
+
+
+def _check_psres(m, n, alpha, beta):
+    """psres_all equals the determinant's principal subresultants, where
+    p = 0 or p >= m + n."""
+    p = alpha.descriptor.characteristic
+    if p and p < m + n:
+        return
+    f, g = power_of_linear(alpha, m), power_of_linear(beta, n)
+    values = psres_all(m, n, alpha, beta)
+    ok = len(values) == min(m, n) and all(
+        values[d] == psres_oracle(f, g, d) for d in range(min(m, n)))
+    yield ok, _detail("psres", m, n, alpha, beta)
+
+
+def _check_correspondence(m, n, alpha, beta):
+    """Over Q, Sres_d = delta^((m-d)(n-d)) prod_{i<=d} i! (m+n-d-i-1)! /
+    ((m-i)! (n-i)!) times the shifted Jacobi form, whose leading
+    coefficient is C(m+n-d-1, d)."""
+    field = alpha.descriptor
+    for d in range(min(m, n)):
+        spec = ProblemSpec(m, n, d, alpha, beta)
+        scalar = Fraction(1)
+        for i in range(1, d + 1):
+            scalar *= Fraction(
+                math.factorial(i) * math.factorial(m + n - d - i - 1),
+                math.factorial(m - i) * math.factorial(n - i),
+            )
+        value = field.element(scalar) * (alpha - beta) ** ((m - d) * (n - d))
+        shifted = shifted_jacobi(spec)
+        ok = shifted.leading() == field.element(math.comb(m + n - d - 1, d))
+        ok = ok and sres_fast(spec).polynomial() == shifted.scale(value)
+        yield ok, _detail("correspondence", m, n, alpha, beta, d=d)
+
+
+def _check_bernstein(m, n, alpha, beta):
+    """Pair-basis output, for every generic d: integral over Q with integer
+    roots, and equal to the monomial route after conversion."""
+    for d in range(min(m, n)):
+        spec = ProblemSpec(m, n, d, alpha, beta)
+        if classify(spec) is not CharCase.GENERIC_LARGE:
+            continue
+        result = sres_bernstein(spec)
+        ok = True
+        if alpha.descriptor.characteristic == 0:
+            ok = all(c.payload.denominator == 1 for c in result.coeffs)
+        converted = bernstein_to_monomial(result)
+        ok = ok and converted.polynomial() == sres_fast(spec).polynomial()
+        yield ok, _detail("bernstein", m, n, alpha, beta, d=d)
+
+
+def _check_jacobi_routes(triples):
+    """Hypergeometric and derivative (Rodrigues) evaluation agree on each
+    (r, k, l), over Q."""
+    q = rationals()
+    for r, k, l in triples:
+        params = JacobiParams(r, k, l)
+        ok = jacobi_hypergeometric(params, q) == jacobi_rodrigues(params, q)
+        yield ok, {"check": "routes", "r": r, "k": k, "l": l}
+
+
+def _check_endpoints(triples):
+    """P_r^(k,l)(1) = (k+1)_r / r! and P_r^(k,l)(-1) = (-1)^r (l+1)_r / r!."""
+    q = rationals()
+    for r, k, l in triples:
+        poly = jacobi_hypergeometric(JacobiParams(r, k, l), q)
+        fact = math.factorial(r)
+        at_plus = Fraction(math.prod(range(k + 1, k + r + 1)), fact)
+        at_minus = Fraction((-1) ** r * math.prod(range(l + 1, l + r + 1)), fact)
+        ok = poly.evaluate(q.one) == q.element(at_plus)
+        ok = ok and poly.evaluate(-q.one) == q.element(at_minus)
+        yield ok, {"check": "endpoints", "r": r, "k": k, "l": l}
+
+
+def _check_pade(cap: int, k_stop: int):
+    """The rational-approximation identity for (1-x)^k, over Q, for
+    m, n <= cap and m <= k < k_stop."""
     for m in range(1, cap + 1):
         for n in range(1, cap + 1):
-            for k in range(m, max_degree + 3):
-                ok = verify_pade_identity(m, n, k, rationals_field)
-                report.record(
-                    ok, {"suite": "pade", "m": m, "n": n, "k": k, "field": "q"}
-                )
+            for k in range(m, k_stop):
+                yield verify_pade_identity(m, n, k, rationals()), {
+                    "check": "pade", "m": m, "n": n, "k": k, "field": "q"}
 
 
-def _suite_bernstein(max_degree: int, primes, rng: random.Random, report: _Report) -> None:
+def _suite_oracle(max_degree: int, primes, rng: random.Random):
+    """Fast algorithms against the determinant definition, plus the Bezout
+    identity and principal-subresultant vector, over Q and each F_p."""
+    fields = [rationals()] + [prime_field(p) for p in primes]
+    for case in _cases(fields, max_degree, rng, 3):
+        yield from _check_sres(*case)
+        yield from _check_cofactors(*case)
+        yield from _check_psres(*case)
+
+
+def _suite_jacobi(max_degree: int, primes, rng: random.Random):
+    """Hypergeometric vs derivative evaluation, endpoint values, and the
+    subresultant = scalar * shifted-Jacobi correspondence, over Q."""
+    box = min(max_degree, 6)
+    span = range(-box, box + 1)
+    yield from _check_jacobi_routes(itertools.product(range(box + 1), span, span))
+    yield from _check_endpoints((r, rng.randint(-6, 6), rng.randint(-6, 6))
+                                for r in range(max_degree + 3))
+    for case in _cases([rationals()], max_degree, rng, 1):
+        yield from _check_correspondence(*case)
+
+
+def _suite_pade(max_degree: int, primes, rng: random.Random):
+    """Rational-approximation identity for (1-x)^k, characteristic 0."""
+    yield from _check_pade(min(max_degree, 5), max_degree + 3)
+
+
+def _suite_bernstein(max_degree: int, primes, rng: random.Random):
     """Pair-basis output: integrality over Z inputs and agreement with the
     monomial route after conversion."""
     fields = [rationals()] + [prime_field(p) for p in primes]
-    for descriptor in fields:
-        field_name = descriptor.spec_string()
-        for m in range(1, max_degree + 1):
-            for n in range(1, max_degree + 1):
-                for alpha, beta in _sample_pairs(descriptor, rng, 2):
-                    for d in range(min(m, n)):
-                        spec = ProblemSpec(m, n, d, alpha, beta)
-                        if classify(spec) is not CharCase.GENERIC_LARGE:
-                            continue
-                        result = sres_bernstein(spec)
-                        ok = True
-                        if descriptor.characteristic == 0:
-                            ok = all(c.payload.denominator == 1 for c in result.coeffs)
-                        converted = bernstein_to_monomial(result)
-                        ok = ok and converted.polynomial() == sres_fast(spec).polynomial()
-                        report.record(
-                            ok,
-                            {
-                                "suite": "bernstein", "field": field_name, "m": m,
-                                "n": n, "d": d, "alpha": str(alpha), "beta": str(beta),
-                            },
-                        )
+    for case in _cases(fields, max_degree, rng, 2):
+        yield from _check_bernstein(*case)
 
 
 _SUITES = {
@@ -270,22 +275,26 @@ _SUITES = {
 def run_verify(max_degree: int, primes, seed: int, suite: str) -> int:
     rng = random.Random(seed)
     names = list(_SUITES) if suite == "all" else [suite]
-    report = _Report()
+    passed = total = 0
+    first_failure = None
     for name in names:
-        before_passed, before_failed = report.passed, report.failed
-        _SUITES[name](max_degree, primes, rng, report)
-        suite_failed = report.failed - before_failed
-        print(
-            f"{name}: {'PASS' if suite_failed == 0 else 'FAIL'} "
-            f"{report.passed - before_passed}/"
-            f"{report.total - before_passed - before_failed} cases"
-        )
-    if report.failed:
-        print(f"FAIL {report.passed}/{report.total} cases")
+        suite_passed = suite_total = 0
+        for ok, detail in _SUITES[name](max_degree, primes, rng):
+            suite_total += 1
+            if ok:
+                suite_passed += 1
+            elif first_failure is None:
+                first_failure = {"suite": name, **detail}
+        verdict = "PASS" if suite_passed == suite_total else "FAIL"
+        print(f"{name}: {verdict} {suite_passed}/{suite_total} cases")
+        passed += suite_passed
+        total += suite_total
+    if passed < total:
+        print(f"FAIL {passed}/{total} cases")
         print("first counterexample:")
-        print(json.dumps(report.first_failure))
+        print(json.dumps(first_failure))
         return EXIT_VERIFY_FAILED
-    print(f"PASS {report.passed}/{report.total} cases")
+    print(f"PASS {passed}/{total} cases")
     return EXIT_OK
 
 
@@ -400,6 +409,8 @@ def cmd_verify(args) -> int:
     primes = _parse_int_list(args.primes, "prime")
     for p in primes:
         prime_field(p)  # validates primality up front
+    if args.max_degree < 1:
+        raise ValueError("max-degree must be >= 1")
     return run_verify(args.max_degree, primes, args.seed, args.suite)
 
 

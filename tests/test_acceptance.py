@@ -6,29 +6,28 @@ criterion (visible with -s, or in the captured output on failure).
 """
 
 import functools
+import itertools
 import math
 import random
 import time
 from fractions import Fraction
 
-from linsubres.cli import _sample_pairs, run_bench
-from linsubres.fastsubres import (
-    CharCase,
-    bernstein_to_monomial,
-    cofactors,
-    sres_bernstein,
-    sres_fast,
+from linsubres.cli import (
+    _cases,
+    _check_bernstein,
+    _check_cofactors,
+    _check_correspondence,
+    _check_endpoints,
+    _check_jacobi_routes,
+    _check_pade,
+    _check_psres,
+    _check_sres,
+    run_bench,
 )
+from linsubres.fastsubres import CharCase, cofactors, sres_fast
 from linsubres.field import prime_field, rationals
-from linsubres.jacobi import (
-    JacobiParams,
-    jacobi_hypergeometric,
-    jacobi_rodrigues,
-    shifted_jacobi,
-    verify_pade_identity,
-)
-from linsubres.poly import DensePoly, ProblemSpec, power_of_linear, psres_oracle, sres_oracle
-from linsubres.psres import psres_all, psres_schedule
+from linsubres.poly import DensePoly, ProblemSpec, power_of_linear, sres_oracle
+from linsubres.psres import psres_schedule
 
 Q = rationals()
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -50,13 +49,20 @@ def criterion(number, summary):
     return decorate
 
 
-def _int_pairs(rng, count):
-    pairs = []
-    while len(pairs) < count:
-        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
-        if a != b:
-            pairs.append((a, b))
-    return pairs
+def _sweep(check, fields, max_degree, rng, pairs):
+    """The records of `check` over the sampled cases, as `verify` runs it."""
+    for case in _cases(fields, max_degree, rng, pairs):
+        yield from check(*case)
+
+
+def _assert_all_pass(records, floor):
+    """Every record passed and there were at least `floor`; the count."""
+    count = 0
+    for ok, detail in records:
+        assert ok, detail
+        count += 1
+    assert count >= floor
+    return count
 
 
 def _residue_pairs(p, rng, count=None):
@@ -93,23 +99,8 @@ def _vanishing_triples(p):
 @criterion(1, "fast route equals the determinant oracle for all m, n <= 8")
 def test_criterion_01_oracle_equivalence():
     start = time.perf_counter()
-    rng = random.Random(101)
     fields = [Q, prime_field(11), prime_field(13), prime_field(101)]
-    checked = 0
-    for descriptor in fields:
-        p = descriptor.characteristic
-        for m in range(1, 9):
-            for n in range(1, 9):
-                for alpha, beta in _sample_pairs(descriptor, rng, 20):
-                    f = power_of_linear(alpha, m)
-                    g = power_of_linear(beta, n)
-                    for d in range(min(m, n)):
-                        if p and p < m + n - d:
-                            continue
-                        spec = ProblemSpec(m, n, d, alpha, beta)
-                        assert sres_fast(spec).polynomial() == sres_oracle(f, g, d)
-                        checked += 1
-    assert checked >= 15000
+    _assert_all_pass(_sweep(_check_sres, fields, 8, random.Random(101), 20), 15000)
     assert time.perf_counter() - start < 60.0
 
 
@@ -178,27 +169,8 @@ def test_criterion_04_vanishing_band():
 @criterion(5, "cofactors satisfy the exact combination identity with tight degree bounds")
 def test_criterion_05_bezout_identity():
     rng = random.Random(505)
-    checked = 0
-
-    def check(spec, f, g):
-        nonlocal checked
-        pair = cofactors(spec)
-        assert pair.f * f + pair.g * g == sres_fast(spec).polynomial()
-        assert pair.f.is_zero() or pair.f.degree < spec.n - spec.d
-        assert pair.g.is_zero() or pair.g.degree < spec.m - spec.d
-        checked += 1
-
-    for descriptor in (Q, prime_field(11), prime_field(13), prime_field(101)):
-        p = descriptor.characteristic
-        for m in range(1, 9):
-            for n in range(1, 9):
-                for alpha, beta in _sample_pairs(descriptor, rng, 20):
-                    f = power_of_linear(alpha, m)
-                    g = power_of_linear(beta, n)
-                    for d in range(min(m, n)):
-                        if p and p < m + n - d:
-                            continue
-                        check(ProblemSpec(m, n, d, alpha, beta), f, g)
+    fields = [Q, prime_field(11), prime_field(13), prime_field(101)]
+    checked = _assert_all_pass(_sweep(_check_cofactors, fields, 8, rng, 20), 0)
     for p in SMALL_PRIMES:
         descriptor = prime_field(p)
         triples = list(_boundary_triples(p)) + list(_vanishing_triples(p))
@@ -207,65 +179,31 @@ def test_criterion_05_bezout_identity():
                 alpha, beta = descriptor.element(a), descriptor.element(b)
                 f = power_of_linear(alpha, m)
                 g = power_of_linear(beta, n)
-                check(ProblemSpec(m, n, d, alpha, beta), f, g)
+                spec = ProblemSpec(m, n, d, alpha, beta)
+                pair = cofactors(spec)
+                assert pair.f * f + pair.g * g == sres_fast(spec).polynomial()
+                assert pair.f.is_zero() or pair.f.degree < n - d
+                assert pair.g.is_zero() or pair.g.degree < m - d
+                checked += 1
     assert checked >= 15000
 
 
 @criterion(6, "fast output is the scaled shifted Jacobi form for m, n <= 7")
 def test_criterion_06_jacobi_correspondence():
-    rng = random.Random(606)
-    for m in range(1, 8):
-        for n in range(1, 8):
-            for a, b in _int_pairs(rng, 3):
-                alpha, beta = Q.element(a), Q.element(b)
-                for d in range(min(m, n)):
-                    spec = ProblemSpec(m, n, d, alpha, beta)
-                    shifted = shifted_jacobi(spec)
-                    assert shifted.leading() == Q.element(math.comb(m + n - d - 1, d))
-                    ratio = Fraction(a - b) ** ((m - d) * (n - d))
-                    for i in range(1, d + 1):
-                        ratio *= Fraction(
-                            math.factorial(i) * math.factorial(m + n - d - i - 1),
-                            math.factorial(m - i) * math.factorial(n - i),
-                        )
-                    assert sres_fast(spec).polynomial() == shifted.scale(Q.element(ratio))
+    _assert_all_pass(_sweep(_check_correspondence, [Q], 7, random.Random(606), 3), 420)
 
 
 @criterion(7, "the two Jacobi evaluation routes and the endpoint values agree")
 def test_criterion_07_jacobi_internals():
-    for r in range(7):
-        for k in range(-8, 9):
-            for l in range(-8, 9):
-                params = JacobiParams(r, k, l)
-                assert jacobi_rodrigues(params, Q) == jacobi_hypergeometric(params, Q)
-    one = Q.one
-    for r in range(9):
-        for k in range(-8, 9):
-            for l in range(-8, 9):
-                poly = jacobi_hypergeometric(JacobiParams(r, k, l), Q)
-                fact = math.factorial(r)
-                plus = Fraction(math.prod(range(k + 1, k + r + 1)), fact)
-                minus = Fraction((-1) ** r * math.prod(range(l + 1, l + r + 1)), fact)
-                assert poly.evaluate(one) == Q.element(plus)
-                assert poly.evaluate(-one) == Q.element(minus)
+    span = range(-8, 9)
+    _assert_all_pass(_check_jacobi_routes(itertools.product(range(7), span, span)), 2023)
+    _assert_all_pass(_check_endpoints(itertools.product(range(9), span, span)), 2601)
 
 
 @criterion(8, "the principal subresultant vector matches the oracle and ratio formula")
 def test_criterion_08_psres_vector():
-    rng = random.Random(808)
-    for descriptor in (Q, prime_field(17), prime_field(101)):
-        p = descriptor.characteristic
-        for m in range(1, 9):
-            for n in range(1, 9):
-                if p and p < m + n:
-                    continue
-                for alpha, beta in _sample_pairs(descriptor, rng, 5):
-                    f = power_of_linear(alpha, m)
-                    g = power_of_linear(beta, n)
-                    values = psres_all(m, n, alpha, beta)
-                    assert len(values) == min(m, n)
-                    for d in range(min(m, n)):
-                        assert values[d] == psres_oracle(f, g, d)
+    fields = [Q, prime_field(17), prime_field(101)]
+    _assert_all_pass(_sweep(_check_psres, fields, 8, random.Random(808), 5), 960)
     for m in range(1, 9):
         for n in range(1, 9):
             schedule = psres_schedule(m, n, Q.element(2), Q.element(-1))
@@ -280,25 +218,12 @@ def test_criterion_08_psres_vector():
 
 @criterion(9, "pair-basis coefficients are integers and convert back exactly")
 def test_criterion_09_bernstein():
-    rng = random.Random(909)
-    for m in range(1, 9):
-        for n in range(1, 9):
-            for a, b in _int_pairs(rng, 3):
-                alpha, beta = Q.element(a), Q.element(b)
-                for d in range(min(m, n)):
-                    spec = ProblemSpec(m, n, d, alpha, beta)
-                    result = sres_bernstein(spec)
-                    assert all(c.payload.denominator == 1 for c in result.coeffs)
-                    converted = bernstein_to_monomial(result)
-                    assert converted.polynomial() == sres_fast(spec).polynomial()
+    _assert_all_pass(_sweep(_check_bernstein, [Q], 8, random.Random(909), 3), 612)
 
 
 @criterion(10, "the rational-approximation identity holds for m, n <= 4, k <= 6")
 def test_criterion_10_pade():
-    for m in range(1, 5):
-        for n in range(1, 5):
-            for k in range(m, 7):
-                assert verify_pade_identity(m, n, k, Q)
+    _assert_all_pass(_check_pade(4, 7), 72)
 
 
 @criterion(11, "op counts grow at most 2.5x per doubling for m = n up to 1024")

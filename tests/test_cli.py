@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from linsubres import cli
-from linsubres.cli import CSV_HEADER, BenchRow, main, run_bench, run_verify
+from linsubres.cli import CSV_HEADER, BenchRow, main, run_bench
 from linsubres.fastsubres import leading_coefficient_sd
 from linsubres.field import prime_field, rationals
 from linsubres.poly import ProblemSpec
@@ -123,6 +123,9 @@ def test_exit_code_usage(capsys):
     assert main(["psres", "--m", "2", "--n", "2", "--alpha", "x", "--beta", "1"]) == 2
     # bad prime list
     assert main(["verify", "--primes", "4"]) == 2
+    # a degree box that holds no case
+    assert main(["verify", "--max-degree", "0"]) == 2
+    assert main(["verify", "--max-degree", "-1"]) == 2
     capsys.readouterr()
 
 
@@ -160,9 +163,9 @@ def test_verify_single_suite(capsys):
 
 
 def test_verify_failure_prints_counterexample(monkeypatch, capsys):
-    def bad_suite(max_degree, primes, rng, report):
-        report.record(True, {})
-        report.record(False, {"suite": "oracle", "why": "forced"})
+    def bad_suite(max_degree, primes, rng):
+        yield True, {}
+        yield False, {"why": "forced"}
 
     monkeypatch.setitem(cli._SUITES, "oracle", bad_suite)
     code = main(["verify", "--suite", "oracle"])
