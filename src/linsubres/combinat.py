@@ -87,8 +87,8 @@ def factorial_ratio(numerator, denominator, descriptor: FieldDescriptor) -> Fiel
 
     Over F_p with p at least every range stop, every a! is a unit, and
     with SF(k) = prod_{a<k} a! mod p a range [s, t) contributes
-    SF(t) / SF(s): one pass k = 1..top keeps k! and SF(k), and the whole
-    ratio costs one inverse.
+    SF(t) / SF(s): one pass k = 1..top carries k! and SF(k), keeps SF(k)
+    only at the range ends, and the whole ratio costs one inverse.
 
     Otherwise (over Q, or p inside the range) the multiplicity of every k
     in the merged product is a suffix sum over a difference array of the
@@ -109,10 +109,12 @@ def factorial_ratio(numerator, denominator, descriptor: FieldDescriptor) -> Fiel
     top = max((r.stop for r, _ in spans if r), default=1)
     p = descriptor.characteristic
     if p and p >= top:
-        sf, fact = [1], 1
-        for k in range(1, top + 1):
-            sf.append(sf[-1] * fact % p)
-            fact = fact * k % p
+        sf, acc, fact, done = {}, 1, 1, 0  # acc = SF(done), fact = done!
+        for end in sorted({e for r, _ in spans if r for e in (r.start, r.stop)}):
+            for k in range(done + 1, end + 1):
+                acc = acc * fact % p
+                fact = fact * k % p
+            sf[end], done = acc, end
         num = den = 1
         for r, sign in spans:
             if r:

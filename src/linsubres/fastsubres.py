@@ -11,10 +11,9 @@ cases which this module dispatches on explicitly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from typing import Optional
 
 from .combinat import factorial_ratio
 from .errors import (
@@ -32,8 +31,10 @@ from .field import (
     credit_ops,
     parse_field_spec,
 )
-from .jacobi import expand_pair_basis, pair_basis_coeffs
 from .poly import DensePoly, ProblemSpec, power_of_linear
+
+# .jacobi is imported inside cofactors and bernstein_to_monomial, its only
+# users here, so that a request for one subresultant does not load it.
 
 __all__ = [
     "CharCase",
@@ -65,8 +66,8 @@ class Basis(enum.Enum):
     BERNSTEIN = "bernstein"
 
 
-@dataclass(frozen=True)
-class SubresResult:
+class SubresResult(namedtuple("SubresResult", "spec basis coeffs case op_count prefactor",
+                              defaults=(None,))):
     """One subresultant, as coefficients on a basis.
 
     Monomial basis: coeffs[i] is the x^i coefficient, length d+1 except in
@@ -76,12 +77,7 @@ class SubresResult:
     op_count is the field-operation tally of the producing call.
     """
 
-    spec: ProblemSpec
-    basis: Basis
-    coeffs: tuple
-    case: CharCase
-    op_count: OpCounter
-    prefactor: Optional[FieldValue] = None
+    __slots__ = ()
 
     def polynomial(self) -> DensePoly:
         if self.basis is not Basis.MONOMIAL:
@@ -89,15 +85,11 @@ class SubresResult:
         return DensePoly(self.spec.descriptor, self.coeffs)
 
 
-@dataclass(frozen=True)
-class CofactorPair:
+class CofactorPair(namedtuple("CofactorPair", "spec f g case")):
     """Bezout cofactors: f_cof * (x-alpha)^m + g_cof * (x-beta)^n = Sres_d,
     with deg f_cof < n - d and deg g_cof < m - d."""
 
-    spec: ProblemSpec
-    f: DensePoly
-    g: DensePoly
-    case: CharCase
+    __slots__ = ()
 
 
 def classify(spec: ProblemSpec) -> CharCase:
@@ -360,6 +352,8 @@ def bernstein_to_monomial(result: SubresResult) -> SubresResult:
     Quadratic in d, so the conversion dominates the linear-time producer
     when d is large; it exists for interoperability, not speed.
     """
+    from .jacobi import expand_pair_basis
+
     if result.basis is not Basis.BERNSTEIN:
         raise BasisMismatch(f"expected bernstein coefficients, got {result.basis.value}")
     spec = result.spec
@@ -392,6 +386,8 @@ def cofactors(spec: ProblemSpec) -> CofactorPair:
     case: monomial closed forms (+-delta^((m-d-1)(n-d-1)) times a power of
     x-alpha or x-beta).  Vanishing band: (0, 0).
     """
+    from .jacobi import expand_pair_basis, pair_basis_coeffs
+
     case = classify(spec)
     _require_supported(spec, case)
     _require_distinct(spec)

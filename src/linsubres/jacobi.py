@@ -10,13 +10,14 @@ z = (2x - alpha - beta) / (beta - alpha), which is where subresultants of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .combinat import binomial, pochhammer
 from .errors import CharacteristicError, CoincidentRoots, PreconditionError
 from .field import FieldDescriptor, FieldValue, char_of, inject_nonzero
-from .poly import DensePoly, ProblemSpec
+from .fastsubres import cofactors, sres_fast
+from .poly import DensePoly, ProblemSpec, power_of_linear
 
 __all__ = [
     "JacobiParams",
@@ -30,19 +31,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class JacobiParams:
+class JacobiParams(namedtuple("JacobiParams", "r k l")):
     """Degree r >= 0 and integer parameters (k, l), both allowed negative."""
 
-    r: int
-    k: int
-    l: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.r, int) or self.r < 0:
-            raise PreconditionError(f"degree must be a nonnegative int, got {self.r!r}")
-        if not isinstance(self.k, int) or not isinstance(self.l, int):
+    def __new__(cls, r: int, k: int, l: int):
+        if not isinstance(r, int) or r < 0:
+            raise PreconditionError(f"degree must be a nonnegative int, got {r!r}")
+        if not isinstance(k, int) or not isinstance(l, int):
             raise PreconditionError("parameters k and l must be ints")
+        return super().__new__(cls, r, k, l)
 
 
 def jacobi_hypergeometric(params: JacobiParams, descriptor: FieldDescriptor) -> DensePoly:
@@ -242,9 +241,6 @@ def verify_pade_identity(m: int, n: int, k: int, descriptor: FieldDescriptor) ->
         raise PreconditionError(f"need m, n >= 1, got ({m}, {n})")
     if k < m:
         raise PreconditionError(f"need k >= m, got k = {k} < m = {m}")
-    from .fastsubres import cofactors, sres_fast  # deferred: fastsubres imports us
-    from .poly import power_of_linear
-
     if k == m:
         sres = power_of_linear(descriptor.one, k)
         g_cof = DensePoly.one(descriptor)

@@ -1,15 +1,13 @@
-"""Dense univariate polynomials and the determinant-definition oracle.
+"""Dense univariate polynomials and the structured problem statement.
 
-The oracle computes subresultants straight from their defining minors by
-exact Gaussian elimination.  It is deliberately naive (cubic per
-coefficient): its only job is to be an independent ground truth for the
-fast algorithms.
+The determinant-definition oracles that check the fast algorithms live in
+linsubres.check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import FieldMismatch, PreconditionError
 from .field import FieldDescriptor, FieldValue
@@ -18,8 +16,6 @@ __all__ = [
     "DensePoly",
     "ProblemSpec",
     "power_of_linear",
-    "sres_oracle",
-    "psres_oracle",
     "poly_to_json",
     "poly_from_json",
 ]
@@ -150,32 +146,25 @@ class DensePoly:
         return f"DensePoly({self.descriptor.spec_string()}, [{', '.join(map(str, self.coeffs))}])"
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(namedtuple("ProblemSpec", "m n d alpha beta")):
     """The structured input pair: f = (x - alpha)^m, g = (x - beta)^n,
     and the subresultant index d with 0 <= d < min(m, n)."""
 
-    m: int
-    n: int
-    d: int
-    alpha: FieldValue
-    beta: FieldValue
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("m", "n", "d"):
-            v = getattr(self, name)
+    def __new__(cls, m: int, n: int, d: int, alpha: FieldValue, beta: FieldValue):
+        for name, v in (("m", m), ("n", n), ("d", d)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise PreconditionError(f"{name} must be an int, got {v!r}")
-        if self.m < 1 or self.n < 1:
-            raise PreconditionError(f"need m, n >= 1, got m={self.m}, n={self.n}")
-        if not 0 <= self.d < min(self.m, self.n):
-            raise PreconditionError(
-                f"need 0 <= d < min(m, n) = {min(self.m, self.n)}, got d={self.d}"
-            )
-        if not isinstance(self.alpha, FieldValue) or not isinstance(self.beta, FieldValue):
+        if m < 1 or n < 1:
+            raise PreconditionError(f"need m, n >= 1, got m={m}, n={n}")
+        if not 0 <= d < min(m, n):
+            raise PreconditionError(f"need 0 <= d < min(m, n) = {min(m, n)}, got d={d}")
+        if not isinstance(alpha, FieldValue) or not isinstance(beta, FieldValue):
             raise PreconditionError("alpha and beta must be FieldValues")
-        if self.alpha.descriptor != self.beta.descriptor:
+        if alpha.descriptor != beta.descriptor:
             raise FieldMismatch("alpha and beta live in different fields")
+        return super().__new__(cls, m, n, d, alpha, beta)
 
     @property
     def descriptor(self) -> FieldDescriptor:
@@ -205,114 +194,6 @@ def power_of_linear(alpha: FieldValue, e: int) -> DensePoly:
         else:
             coeffs.append(descriptor.element(c) * powers[e - i])
     return DensePoly(descriptor, coeffs)
-
-
-def _det(rows) -> FieldValue:
-    """Determinant by exact Gaussian elimination with first-nonzero pivoting
-    (ties go to the lowest row index).  Mutates rows."""
-    size = len(rows)
-    descriptor = rows[0][0].descriptor if size else None
-    if any(len(r) != size for r in rows):
-        raise PreconditionError("determinant needs a square matrix")
-    if size == 0:
-        raise PreconditionError("determinant of an empty matrix")
-    swaps = 0
-    for col in range(size):
-        pivot_row = None
-        for r in range(col, size):
-            if not rows[r][col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return descriptor.zero
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            swaps += 1
-        pivot = rows[col][col]
-        for r in range(col + 1, size):
-            lead = rows[r][col]
-            if lead.is_zero():
-                continue
-            factor = lead / pivot
-            upper = rows[col]
-            lower = rows[r]
-            for c in range(col + 1, size):
-                u = upper[c]
-                if u.is_zero():
-                    continue
-                lower[c] = lower[c] - factor * u
-    det = rows[0][0]
-    for i in range(1, size):
-        det = det * rows[i][i]
-    if swaps & 1:
-        det = -det
-    return det
-
-
-def _minor_rows(f: DensePoly, g: DensePoly, d: int):
-    """Shared row data for the defining minors.
-
-    Row layout (top to bottom): coefficient rows of x^(n-d-1) f, ..., x f, f,
-    then x^(m-d-1) g, ..., x g, g.  Scalar column j (1-based, j < m+n-2d)
-    of the f-row i holds the coefficient of x^(m-j+i) in f, i.e. the usual
-    Sylvester-like band; the last column is the polynomial column, realized
-    per minor as a single coefficient of the shifted polynomial.
-    """
-    m, n = f.degree, g.degree
-    size = m + n - 2 * d
-    scalar_rows = []
-    tails = []
-    for i in range(1, n - d + 1):
-        scalar_rows.append([f.coeff(m - j + i) for j in range(1, size)])
-        tails.append((f, n - d - i))
-    for i in range(1, m - d + 1):
-        scalar_rows.append([g.coeff(n - j + i) for j in range(1, size)])
-        tails.append((g, m - d - i))
-    return scalar_rows, tails
-
-
-def _check_oracle_args(f: DensePoly, g: DensePoly, d: int) -> None:
-    if f.descriptor != g.descriptor:
-        raise FieldMismatch("f and g live in different fields")
-    if f.degree < 1 or g.degree < 1:
-        raise PreconditionError("both inputs must have degree >= 1")
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise PreconditionError(f"d must be an int, got {d!r}")
-    if not 0 <= d < min(f.degree, g.degree):
-        raise PreconditionError(
-            f"need 0 <= d < min(deg f, deg g) = {min(f.degree, g.degree)}, got d={d}"
-        )
-
-
-def sres_oracle(f: DensePoly, g: DensePoly, d: int) -> DensePoly:
-    """Subresultant of index d of (f, g), coefficient by coefficient from
-    the defining determinants.
-
-    The coefficient of x^k is the minor whose last column takes the x^k
-    coefficient of each row's shifted polynomial; k runs over 0..d, so the
-    result has degree at most d.
-    """
-    _check_oracle_args(f, g, d)
-    scalar_rows, tails = _minor_rows(f, g, d)
-    coeffs = []
-    for k in range(d + 1):
-        rows = [
-            row + [poly.coeff(k - shift)]
-            for row, (poly, shift) in zip(scalar_rows, tails)
-        ]
-        coeffs.append(_det(rows))
-    return DensePoly(f.descriptor, coeffs)
-
-
-def psres_oracle(f: DensePoly, g: DensePoly, d: int) -> FieldValue:
-    """Principal subresultant of index d: the coefficient of x^d alone."""
-    _check_oracle_args(f, g, d)
-    scalar_rows, tails = _minor_rows(f, g, d)
-    rows = [
-        row + [poly.coeff(d - shift)]
-        for row, (poly, shift) in zip(scalar_rows, tails)
-    ]
-    return _det(rows)
 
 
 def poly_to_json(poly: DensePoly) -> dict:

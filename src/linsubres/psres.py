@@ -16,23 +16,21 @@ num(u_i) is a unit) u_i stays an unreduced pair of residues, and one
 inverse, of num(u_{low-1}), serves every step.  For a non-integer delta
 over Q the chain at delta = 1 gives the c(i), which a downward chain of
 Fraction powers multiplies by delta^((m-i)(n-i)).  alpha = beta gives
-zeros.  psres_schedule, the reference route the tests compare psres_all
-with, builds both chains index by index in FieldValue arithmetic;
+zeros.  check.psres_schedule, the reference route the tests compare
+psres_all with, builds both chains index by index in FieldValue arithmetic;
 psres_all credits the active count_ops scopes with its op tally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .combinat import binomial, factorial_ratio
+from .combinat import factorial_ratio
 from .errors import CharacteristicError, FieldMismatch, PreconditionError
 from .field import (
     FieldDescriptor,
     FieldValue,
-    binary_pow,
     binary_pow_muls,
     char_of,
     credit_ops,
@@ -40,36 +38,7 @@ from .field import (
     rationals,
 )
 
-__all__ = ["PsresSchedule", "psres_schedule", "psres_all"]
-
-
-@dataclass(frozen=True)
-class PsresSchedule:
-    """The chains behind the principal subresultants, as the reference
-    route psres_schedule builds them in FieldValue arithmetic.
-
-    With mn = min(m, n) and delta = alpha - beta:
-
-        v[i]     = v(i+1), i+1 = 1..mn-2: the ratio u(d+1)/u(d)
-        u[i]     = u(i+1), i+1 = 1..mn-1: the ratio c(d)/c(d-1)
-        c[i]     = c(i),   i   = 0..mn-1: the delta-free factor of s_i
-        gamma[i] = gamma(i), i = 0..mn-2: the ratio h(d+1)/h(d) = delta^(2i+1-m-n)
-        h[i]     = h(i),   i   = 0..mn-1: delta^((m-i)(n-i))
-        values[i] = c(i) * h(i) = s_i
-
-    alpha = beta short-circuits to all-zero values with empty chains.
-    """
-
-    m: int
-    n: int
-    alpha: FieldValue
-    beta: FieldValue
-    v: tuple
-    u: tuple
-    c: tuple
-    gamma: tuple
-    h: tuple
-    values: tuple
+__all__ = ["psres_all"]
 
 
 def _check_args(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> FieldDescriptor:
@@ -88,46 +57,6 @@ def _check_args(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> FieldDes
             f"or >= m + n = {m + n}, have {p}"
         )
     return descriptor
-
-
-def psres_schedule(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> PsresSchedule:
-    """The reference route for psres_all.  Needs characteristic 0 or >= m + n."""
-    descriptor = _check_args(m, n, alpha, beta)
-    low = min(m, n)
-    if alpha == beta:
-        return PsresSchedule(
-            m=m, n=n, alpha=alpha, beta=beta,
-            v=(), u=(), c=(), gamma=(), h=(),
-            values=(descriptor.zero,) * low,
-        )
-    # every factor of the denominators is below m + n, a unit mod p >= m + n
-    v = [descriptor.element(d * (m - d) * (n - d) * (m + n - d))
-         / descriptor.element((m + n - 2 * d - 1) * (m + n - 2 * d) ** 2 * (m + n - 2 * d + 1))
-         for d in range(1, low - 1)]
-    u = []
-    if low >= 2:
-        u.append(binomial(m - 1, n - 1, descriptor))
-        for d in range(2, low):
-            u.append(u[-1] * v[d - 2])
-    c = [descriptor.one]
-    for d in range(1, low):
-        c.append(u[d - 1] * c[-1])
-    delta = alpha - beta
-    gamma = []
-    if low >= 2:
-        gamma.append(descriptor.one / binary_pow(delta, m + n - 1))
-        delta_sq = delta * delta
-        for _ in range(low - 2):
-            gamma.append(delta_sq * gamma[-1])
-    h = [binary_pow(delta, m * n)]
-    for d in range(low - 1):
-        h.append(gamma[d] * h[-1])
-    values = tuple(c[d] * h[d] for d in range(low))
-    return PsresSchedule(
-        m=m, n=n, alpha=alpha, beta=beta,
-        v=tuple(v), u=tuple(u), c=tuple(c), gamma=tuple(gamma), h=tuple(h),
-        values=values,
-    )
 
 
 def psres_all(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> list:
@@ -151,9 +80,10 @@ def psres_all(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> list:
 
 
 def _credit_schedule(m: int, n: int) -> None:
-    """Credit psres_schedule's tally: delta, the powers seeding h and gamma,
-    the c and h chains and the values; for min(m, n) >= 2 also the binomial
-    seeding u, the v, u and gamma chains, 1/delta^(m+n-1) and delta^2."""
+    """Credit check.psres_schedule's tally: delta, the powers seeding h and
+    gamma, the c and h chains and the values; for min(m, n) >= 2 also the
+    binomial seeding u, the v, u and gamma chains, 1/delta^(m+n-1) and
+    delta^2."""
     low = min(m, n)
     muls, divs = binary_pow_muls(m * n) + 3 * low - 2, 0
     if low >= 2:

@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from linsubres.cli import (
+from linsubres.check import (
     _cases,
     _check_bernstein,
     _check_cofactors,
@@ -22,12 +22,13 @@ from linsubres.cli import (
     _check_pade,
     _check_psres,
     _check_sres,
+    psres_schedule,
     run_bench,
+    sres_oracle,
 )
 from linsubres.fastsubres import CharCase, cofactors, sres_fast
 from linsubres.field import prime_field, rationals
-from linsubres.poly import DensePoly, ProblemSpec, power_of_linear, sres_oracle
-from linsubres.psres import psres_schedule
+from linsubres.poly import DensePoly, ProblemSpec, power_of_linear
 
 Q = rationals()
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)

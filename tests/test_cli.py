@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from linsubres import cli
-from linsubres.cli import CSV_HEADER, BenchRow, main, run_bench
+from linsubres import check, cli
+from linsubres.check import CSV_HEADER, BenchRow, run_bench
+from linsubres.cli import main
 from linsubres.fastsubres import leading_coefficient_sd
 from linsubres.field import prime_field, rationals
 from linsubres.poly import ProblemSpec
@@ -167,7 +168,7 @@ def test_verify_failure_prints_counterexample(monkeypatch, capsys):
         yield True, {}
         yield False, {"why": "forced"}
 
-    monkeypatch.setitem(cli._SUITES, "oracle", bad_suite)
+    monkeypatch.setitem(check._SUITES, "oracle", bad_suite)
     code = main(["verify", "--suite", "oracle"])
     out = capsys.readouterr().out
     assert code == 4

@@ -24,13 +24,8 @@ from linsubres.fastsubres import (
     sres_fast,
 )
 from linsubres.field import count_ops, prime_field, rationals
-from linsubres.poly import (
-    DensePoly,
-    ProblemSpec,
-    power_of_linear,
-    psres_oracle,
-    sres_oracle,
-)
+from linsubres.check import psres_oracle, sres_oracle
+from linsubres.poly import DensePoly, ProblemSpec, power_of_linear
 
 Q = rationals()
 F3 = prime_field(3)

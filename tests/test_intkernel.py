@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from linsubres.check import psres_oracle, psres_schedule, sres_oracle
 from linsubres.combinat import factorial_ratio
 from linsubres.errors import CharacteristicError
 from linsubres.fastsubres import (
@@ -37,8 +38,8 @@ from linsubres.field import (
     rationals,
 )
 from linsubres.jacobi import expand_pair_basis, pair_basis_coeffs
-from linsubres.poly import ProblemSpec, power_of_linear, psres_oracle, sres_oracle
-from linsubres.psres import psres_all, psres_schedule
+from linsubres.poly import ProblemSpec, power_of_linear
+from linsubres.psres import psres_all
 
 Q = rationals()
 P61 = 2**61 - 1

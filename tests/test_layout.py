@@ -1,0 +1,107 @@
+"""Package layout: the request path loads only what it runs, the package
+namespace is lazy, and the records on the request path are plain
+namedtuples."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+import linsubres
+from linsubres import check, cli
+from linsubres.errors import PreconditionError
+from linsubres.fastsubres import sres_fast
+from linsubres.field import rationals
+from linsubres.jacobi import JacobiParams
+from linsubres.poly import ProblemSpec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ROOTS = ["--m=8", "--n=6", "--alpha=1", "--beta=2", "--field=fp:1000003"]
+COMPUTE = ["-m", "linsubres.cli", "compute", "--d=3", *ROOTS]
+NOT_FOR_COMPUTE = {"linsubres.check", "linsubres.jacobi", "linsubres.psres",
+                   "dataclasses", "inspect", "csv"}
+
+
+def imported(args) -> set:
+    """The modules `python -X importtime <args>` imports, with src on the path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-500:]
+    return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:") and not line.endswith("imported package")}
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    """Modules a request imports beyond those of a bare interpreter."""
+    bare = imported(["-c", "pass"])
+    return lambda args: imported(args) - bare
+
+
+def test_compute_loads_no_check_code(loaded):
+    modules = loaded(COMPUTE)
+    assert {"linsubres.fastsubres", "linsubres.poly"} <= modules
+    assert not modules & NOT_FOR_COMPUTE
+
+
+def test_cofactors_add_only_jacobi(loaded):
+    assert loaded(COMPUTE + ["--cofactors"]) - loaded(COMPUTE) == {"linsubres.jacobi"}
+
+
+def test_psres_adds_only_psres(loaded):
+    psres = ["-m", "linsubres.cli", "psres", *ROOTS]
+    assert loaded(psres) - loaded(COMPUTE) == {"linsubres.psres"}
+
+
+def test_import_linsubres_loads_no_submodule(loaded):
+    modules = loaded(["-c", "import linsubres"])
+    assert "linsubres" in modules
+    assert not [name for name in modules if name.startswith("linsubres.")]
+
+
+@pytest.mark.parametrize("name", linsubres.__all__)
+def test_every_exported_name_is_its_defining_object(name):
+    value = getattr(linsubres, name)
+    if name == "__version__":
+        assert isinstance(value, str)
+    elif isinstance(value, ModuleType):
+        assert value is sys.modules[f"linsubres.{name}"]
+    else:
+        assert value.__module__.startswith("linsubres.")
+        assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_namespace_lists_and_rejects_names():
+    assert set(linsubres.__all__) <= set(dir(linsubres))
+    with pytest.raises(AttributeError):
+        linsubres.no_such_name
+    namespace = {}
+    exec("from linsubres import *", namespace)
+    assert set(linsubres.__all__) <= set(namespace)
+
+
+def test_cli_serves_run_bench_from_check():
+    assert cli.run_bench is check.run_bench
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+
+
+def test_records_keep_their_dataclass_behaviour():
+    q = rationals()
+    spec = ProblemSpec(4, 3, 2, q.element(2), q.element(5))
+    same = ProblemSpec(m=4, n=3, d=2, alpha=q.element(2), beta=q.element(5))
+    assert spec == same and hash(spec) == hash(same)
+    assert repr(spec) == "ProblemSpec(m=4, n=3, d=2, alpha=<2 in q>, beta=<5 in q>)"
+    with pytest.raises(AttributeError):
+        spec.m = 5
+    with pytest.raises(PreconditionError, match=r"need 0 <= d < min\(m, n\) = 3, got d=3"):
+        ProblemSpec(4, 3, 3, q.element(2), q.element(5))
+    with pytest.raises(PreconditionError, match="degree must be a nonnegative int"):
+        JacobiParams(-1, 0, 0)
+    result = sres_fast(spec)
+    assert result.prefactor is None
+    assert result.polynomial().coeffs == result.coeffs

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from linsubres.check import psres_oracle, sres_oracle
 from linsubres.errors import FieldMismatch, PreconditionError
 from linsubres.field import prime_field, rationals
 from linsubres.poly import (
@@ -12,8 +13,6 @@ from linsubres.poly import (
     poly_from_json,
     poly_to_json,
     power_of_linear,
-    psres_oracle,
-    sres_oracle,
 )
 
 Q = rationals()
