@@ -290,14 +290,9 @@ def _check_sres(m, n, alpha, beta):
 
 
 def _check_cofactors(m, n, alpha, beta):
-    """F f + G g = Sres_d with deg F < n - d and deg G < m - d, for every d
-    the closed forms cover: not d = 0 with max(m, n) <= p < m + n - 1,
-    where only the value is."""
-    p = alpha.descriptor.characteristic
+    """F f + G g = Sres_d with deg F < n - d and deg G < m - d, for every d."""
     f, g = power_of_linear(alpha, m), power_of_linear(beta, n)
     for d in range(min(m, n)):
-        if d == 0 and p and p < m + n - 1:
-            continue
         spec = ProblemSpec(m, n, d, alpha, beta)
         pair = cofactors(spec)
         ok = pair.f * f + pair.g * g == sres_fast(spec).polynomial()

@@ -31,7 +31,7 @@ from .field import (
     credit_ops,
     parse_field_spec,
 )
-from .poly import DensePoly, ProblemSpec, power_of_linear
+from .poly import DensePoly, ProblemSpec
 
 # .jacobi is imported inside cofactors and bernstein_to_monomial, its only
 # users here, so that a request for one subresultant does not load it.
@@ -100,8 +100,8 @@ def classify(spec: ProblemSpec) -> CharCase:
     a nonzero delta power in every characteristic >= max(m, n), so d = 0
     below the generic threshold classifies as generic (the d = 0 path is a
     single binary power, valid whenever the pair is supported at all).
-    The boundary prime keeps its closed forms at d = 0 too: both sides of
-    the cofactor identity collapse through x -> x^p there.
+    The case picks sres_fast's branch and gates sres_bernstein; cofactors
+    and leading_coefficient_sd run one formula in every supported case.
     """
     p = char_of(spec.descriptor)
     m, n, d = spec.m, spec.n, spec.d
@@ -160,11 +160,13 @@ def leading_coefficient_sd(spec: ProblemSpec) -> FieldValue:
     over Q, prefix products mod p over F_p), and the active count_ops scopes
     are credited with the tally of the downward ratio chain
     r_d = (d-1)! C(m+n-2d, m-d), r_i = r_{i+1} (m+n-d-i) / (i (m-i) (n-i)).
-    Nonzero by construction.  O(min(m, n) + log(mn)) operations.  Generic
-    case and alpha != beta only.
+    O(min(m, n) + log(mn)) operations.  Every supported characteristic and
+    alpha != beta: the denominators (m-i)! (n-i)! are units for
+    p >= max(m, n), and for d >= 1 below the generic threshold the
+    numerator (m+n-d-1)! contains p, so s_d = 0 in the boundary and
+    vanishing cases; s_0 = delta^(mn) always.
     """
-    case = classify(spec)
-    _require_generic(spec, case, "the principal subresultant closed form")
+    _require_supported(spec, classify(spec))
     _require_distinct(spec)
     m, n, d = spec.m, spec.n, spec.d
     descriptor = spec.descriptor
@@ -373,18 +375,18 @@ def bernstein_to_monomial(result: SubresResult) -> SubresResult:
 
 def cofactors(spec: ProblemSpec) -> CofactorPair:
     """The Bezout cofactors (F, G) with F f + G g = Sres_d, deg F < n-d,
-    deg G < m-d.
-
-    Generic case: both are scaled shifted Jacobi polynomials,
+    deg G < m-d.  Both are scaled shifted Jacobi polynomials,
 
         F = (-1)^(m+d)   delta^((m-d-1)(n-d-1)) T * [pair basis of P_{n-d-1}^{(-n,m)}],
         G = (-1)^(m+d+1) delta^((m-d-1)(n-d-1)) T * [pair basis of P_{m-d-1}^{(n,-m)}],
 
     where T = prod_{i=1}^{d} i! (m+n-d-i-1)! / ((m-i)! (n-i)!) is one
     factorial_ratio, credited as the ratio chain seeded at
-    t_d = d! C(m+n-2d-1, m-d) / (n-d).  Boundary
-    case: monomial closed forms (+-delta^((m-d-1)(n-d-1)) times a power of
-    x-alpha or x-beta).  Vanishing band: (0, 0).
+    t_d = d! C(m+n-2d-1, m-d) / (n-d), and the pair-basis coefficients
+    are integers (pair_basis_coeffs).  One formula for every supported
+    characteristic: T's denominators are units for p >= max(m, n), so the
+    formula reduced mod p is the determinantal answer.  In the vanishing
+    band (m+n-d-2)! contains p and T = 0, so F = G = 0.
     """
     from .jacobi import expand_pair_basis, pair_basis_coeffs
 
@@ -393,28 +395,8 @@ def cofactors(spec: ProblemSpec) -> CofactorPair:
     _require_distinct(spec)
     descriptor = spec.descriptor
     m, n, d = spec.m, spec.n, spec.d
-    p = char_of(descriptor)
-    if case is CharCase.GENERIC_LARGE and p and p < m + n - d:
-        # only reachable for d = 0 with max(m, n) <= p < m + n - 1: the
-        # value delta^(mn) is fine there but the cofactor closed forms are
-        # not covered (their derivation divides by m+1, ..., m+n-1)
-        raise CharacteristicError(
-            f"the cofactor closed forms need characteristic 0, "
-            f">= m + n - d = {m + n - d}, or exactly m + n - d - 1; have {p}"
-        )
-    if case is CharCase.VANISHING_BAND:
-        zero = DensePoly.zero(descriptor)
-        return CofactorPair(spec=spec, f=zero, g=zero, case=case)
     delta = spec.alpha - spec.beta
     scale = binary_pow(delta, (m - d - 1) * (n - d - 1))
-    if case is CharCase.BOUNDARY_PRIME:
-        f_cof = power_of_linear(spec.alpha, n - d - 1).scale(scale)
-        g_cof = power_of_linear(spec.beta, m - d - 1).scale(scale)
-        if (m * d) % 2 == 0:
-            f_cof = -f_cof
-        else:
-            g_cof = -g_cof
-        return CofactorPair(spec=spec, f=f_cof, g=g_cof, case=case)
     t_product = descriptor.one
     if d >= 1:
         _credit_ratio_chain(d, min(m - d, n - d - 1), d - 1, seed_divs=1)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .combinat import binomial, pochhammer
 from .errors import CharacteristicError, CoincidentRoots, PreconditionError
-from .field import FieldDescriptor, FieldValue, char_of, inject_nonzero
+from .field import FieldDescriptor, FieldValue, char_of, credit_ops, inject_nonzero
 from .fastsubres import cofactors, sres_fast
 from .poly import DensePoly, ProblemSpec, power_of_linear
 
@@ -137,32 +137,21 @@ def pair_basis_coeffs(r: int, k: int, l: int, descriptor: FieldDescriptor) -> li
 
         t_j = C(k+r, j) * C(l+r, r-j)
 
-    as field images of generalized binomials (top argument may be
-    negative).  Computed by ratio updates
-
-        t_0 = C(l+r, r),    t_{j+1} = t_j (k+r-j)(r-j) / ((j+1)(l+j+1)),
-
-    O(r) operations.  Needs characteristic 0 or > r, and raises if some
-    l + j + 1 is the integer zero (the ratio route has a pole there).
+    as field images of generalized binomials, C(a, j) = (-1)^j C(j-a-1, j)
+    for a negative top a.  The t_j are integers, computed exactly and
+    injected once, so every characteristic has them.  Credits the tally of
+    the ratio chain t_{j+1} = t_j (k+r-j)(r-j) / ((j+1)(l+j+1)) seeded at
+    t_0 = C(l+r, r): 2r multiplications and 2r divisions.
     """
     if r < 0:
         raise PreconditionError(f"degree must be nonnegative, got {r}")
-    t = descriptor.one
-    for i in range(1, r + 1):
-        t = t * descriptor.element(l + i) / inject_nonzero(descriptor, i, "index i")
-    out = [t]
-    for j in range(r):
-        if l + j + 1 == 0:
-            raise PreconditionError(
-                f"coefficient ratio has a pole at j = {j + 1} for (r, k, l) = ({r}, {k}, {l})"
-            )
-        numerator = descriptor.element((k + r - j) * (r - j))
-        denominator = inject_nonzero(
-            descriptor, (j + 1) * (l + j + 1), "ratio denominator (j+1)(l+j+1)"
-        )
-        t = t * numerator / denominator
-        out.append(t)
-    return out
+    credit_ops(muls=2 * r, divs=2 * r)
+    return [descriptor.element(_comb(k + r, j) * _comb(l + r, r - j)) for j in range(r + 1)]
+
+
+def _comb(a: int, j: int) -> int:
+    """The generalized binomial C(a, j) for an integer a of either sign."""
+    return math.comb(a, j) if a >= 0 else (-1) ** j * math.comb(j - a - 1, j)
 
 
 def shifted_jacobi(spec: ProblemSpec) -> DensePoly:

@@ -97,6 +97,15 @@ def _vanishing_triples(p):
                     yield m, n, d
 
 
+def _gap_triples(p):
+    """(m, n, 0) with max(m, n) <= p < m + n - 1: d = 0 below the generic
+    threshold, where Sres_0 is still the nonzero resultant."""
+    for m in range(1, p + 1):
+        for n in range(1, p + 1):
+            if p < m + n - 1:
+                yield m, n, 0
+
+
 @criterion(1, "fast route equals the determinant oracle for all m, n <= 8")
 def test_criterion_01_oracle_equivalence():
     start = time.perf_counter()
@@ -174,7 +183,7 @@ def test_criterion_05_bezout_identity():
     checked = _assert_all_pass(_sweep(_check_cofactors, fields, 8, rng, 20), 0)
     for p in SMALL_PRIMES:
         descriptor = prime_field(p)
-        triples = list(_boundary_triples(p)) + list(_vanishing_triples(p))
+        triples = [*_boundary_triples(p), *_vanishing_triples(p), *_gap_triples(p)]
         for m, n, d in triples:
             for a, b in _residue_pairs(p, rng, 3):
                 alpha, beta = descriptor.element(a), descriptor.element(b)

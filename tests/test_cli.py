@@ -14,9 +14,9 @@ import pytest
 from linsubres import check, cli
 from linsubres.check import CSV_HEADER, BenchRow, run_bench
 from linsubres.cli import main
-from linsubres.fastsubres import leading_coefficient_sd
+from linsubres.fastsubres import leading_coefficient_sd, sres_fast
 from linsubres.field import prime_field, rationals
-from linsubres.poly import ProblemSpec
+from linsubres.poly import DensePoly, ProblemSpec, power_of_linear
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -138,6 +138,20 @@ def test_exit_code_unsupported(capsys):
     assert main(["psres", "--m", "4", "--n", "4",
                  "--alpha", "1", "--beta", "2", "--field", "fp:5"]) == 3
     capsys.readouterr()
+
+
+def test_compute_cofactors_in_the_d0_gap(capsys):
+    # d = 0 with max(m, n) <= p < m + n - 1 has cofactors like every other case
+    payload = run_json(capsys, ["compute", "--m", "5", "--n", "4", "--d", "0",
+                                "--alpha", "1", "--beta", "2", "--field", "fp:7",
+                                "--cofactors"])
+    f_cof, g_cof = (payload["cofactors"][key]["coeffs"] for key in ("f", "g"))
+    assert f_cof == ["1", "5", "1"] and g_cof == ["1", "2", "6", "6"]
+    field = prime_field(7)
+    alpha, beta = field.element(1), field.element(2)
+    combo = (DensePoly.from_integers(field, map(int, f_cof)) * power_of_linear(alpha, 5)
+             + DensePoly.from_integers(field, map(int, g_cof)) * power_of_linear(beta, 4))
+    assert combo == sres_fast(ProblemSpec(5, 4, 0, alpha, beta)).polynomial()
 
 
 def test_missing_arguments_exit_two():

@@ -51,7 +51,7 @@ def test_classify_cases():
     F2 = prime_field(2)
     assert classify(spec_of(2, 2, 0, 0, 1, F2)) is CharCase.GENERIC_LARGE
     assert classify(spec_of(4, 3, 0, 2, 1, F5)) is CharCase.GENERIC_LARGE
-    # ... while the boundary prime m+n-1 keeps its closed forms at d = 0
+    # ... while p = m+n-1 classifies as boundary at d = 0
     assert classify(spec_of(3, 3, 0, 2, 1, F5)) is CharCase.BOUNDARY_PRIME
 
 
@@ -65,7 +65,8 @@ def test_leading_coefficient_examples():
 
 
 def test_leading_coefficient_matches_oracle():
-    for descriptor in (Q, F13):
+    # F_5 and F_7 hold boundary, vanishing and d = 0-gap requests
+    for descriptor in (Q, F5, prime_field(7), F13):
         for m in range(1, 6):
             for n in range(1, 6):
                 alpha = descriptor.element(3)
@@ -74,16 +75,14 @@ def test_leading_coefficient_matches_oracle():
                 g = power_of_linear(beta, n)
                 for d in range(min(m, n)):
                     spec = ProblemSpec(m, n, d, alpha, beta)
-                    if classify(spec) is not CharCase.GENERIC_LARGE:
-                        continue
                     assert leading_coefficient_sd(spec) == psres_oracle(f, g, d)
 
 
 def test_leading_coefficient_guards():
     with pytest.raises(CoincidentRoots):
         leading_coefficient_sd(spec_of(2, 2, 1, 1, 1))
-    with pytest.raises(CharacteristicError):
-        leading_coefficient_sd(spec_of(3, 3, 2, 2, 1, F3))  # boundary, not generic
+    # boundary case: (m+n-d-1)! holds p, so s_d = 0
+    assert leading_coefficient_sd(spec_of(3, 3, 2, 2, 1, F3)) == F3.zero
     with pytest.raises(UnsupportedCase):
         leading_coefficient_sd(spec_of(4, 4, 1, 1, 2, F3))
 
@@ -160,11 +159,15 @@ def test_sres_fast_d0_below_generic_threshold():
         assert result.polynomial() == sres_oracle(f, g, 0)
 
 
-def test_cofactors_uncovered_d0_band_raises():
-    with pytest.raises(CharacteristicError):
-        cofactors(spec_of(4, 3, 0, 2, 1, F5))
-    with pytest.raises(CharacteristicError):
-        cofactors(spec_of(2, 2, 0, 0, 1, prime_field(2)))
+def test_cofactors_d0_gap_identity():
+    # d = 0 with max(m, n) <= p < m + n - 1: the one formula answers here too
+    for m, n, a, b, descriptor in [(4, 3, 2, 1, F5), (2, 2, 0, 1, prime_field(2))]:
+        spec = spec_of(m, n, 0, a, b, descriptor)
+        pair = cofactors(spec)
+        f = power_of_linear(spec.alpha, m)
+        g = power_of_linear(spec.beta, n)
+        assert pair.f * f + pair.g * g == sres_fast(spec).polynomial()
+        assert pair.f.degree < n and pair.g.degree < m
 
 
 def test_sres_fast_errors():

@@ -122,8 +122,9 @@ def test_pair_basis_matches_shift_evaluation():
 
 
 def test_pair_basis_integer_pole():
-    with pytest.raises(PreconditionError):
-        pair_basis_coeffs(3, 0, -2, Q)  # l + j + 1 = 0 at j = 1
+    # l + j + 1 = 0 at j = 1, a pole of the ratio t_{j+1} / t_j;
+    # t_j = C(3, j) C(1, 3-j)
+    assert pair_basis_coeffs(3, 0, -2, Q) == [Q.element(v) for v in (0, 0, 3, 1)]
 
 
 def test_pair_basis_generalized_binomials():
