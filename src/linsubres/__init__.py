@@ -1,10 +1,10 @@
 """Exact subresultants of (x - alpha)^m and (x - beta)^n in linear time.
 
 Public surface: exact fields with operation counting (field), dense
-polynomials (poly), combinatorial images (combinat), Jacobi polynomial
-machinery (jacobi), the fast subresultant and cofactor algorithms
-(fastsubres), all principal subresultants at once (psres), the
-determinant oracles and self-checks (check), and a CLI (cli).
+polynomials (poly), combinatorial images (combinat), the fast subresultant
+and cofactor algorithms (fastsubres), all principal subresultants at once
+(psres), and a CLI (cli); off the request path, the reference Jacobi
+routes (jacobi) and the determinant oracles and self-checks (check).
 
 The namespace is lazy: `import linsubres` loads no submodule, and each
 name below imports its module on first access.
@@ -21,12 +21,13 @@ _SOURCES = {
         "errors": "errors",
         "combinat": "binomial factorial_ratio falling_product pochhammer",
         "fastsubres": "Basis CharCase CofactorPair SubresResult bernstein_to_monomial "
-                      "classify cofactors leading_coefficient_sd result_from_json "
-                      "result_to_json sres_bernstein sres_fast",
+                      "classify cofactors expand_pair_basis leading_coefficient_sd "
+                      "pair_basis_coeffs result_from_json result_to_json sres_bernstein "
+                      "sres_fast",
         "field": "FieldDescriptor FieldKind FieldValue OpCounter binary_pow char_of "
                  "count_ops parse_field_spec prime_field rationals",
-        "jacobi": "JacobiParams expand_pair_basis hyp2f1_poly jacobi_hypergeometric "
-                  "jacobi_rodrigues pair_basis_coeffs shifted_jacobi verify_pade_identity",
+        "jacobi": "JacobiParams hyp2f1_poly jacobi_hypergeometric jacobi_rodrigues "
+                  "shifted_jacobi verify_pade_identity",
         "poly": "DensePoly ProblemSpec poly_from_json poly_to_json power_of_linear",
         "check": "psres_oracle sres_oracle PsresSchedule psres_schedule",
         "psres": "psres_all",

@@ -164,6 +164,13 @@ def factorial_ratio(numerator, denominator, descriptor: FieldDescriptor) -> Fiel
     return FieldValue(descriptor, num * pow(den, -1, p) % p)
 
 
+def principal_ratio(m: int, n: int, d: int, descriptor: FieldDescriptor) -> FieldValue:
+    """prod_{i=1}^{d} (i-1)! (m+n-d-i)! / ((m-i)! (n-i)!): s_d of
+    ((x-alpha)^m, (x-beta)^n) at alpha - beta = 1.  Its callers credit ops."""
+    return factorial_ratio([range(d), range(m + n - 2 * d, m + n - d)],
+                           [range(m - d, m), range(n - d, n)], descriptor)
+
+
 def _product_tree(factors: list) -> int:
     """Product of the list by pairwise rounds, so that the big
     multiplications meet operands of similar size."""
@@ -175,4 +182,4 @@ def _product_tree(factors: list) -> int:
     return factors[0] if factors else 1
 
 
-__all__ = ["binomial", "pochhammer", "falling_product", "factorial_ratio"]
+__all__ = ["binomial", "pochhammer", "falling_product", "factorial_ratio", "principal_ratio"]

@@ -5,7 +5,8 @@ case the subresultant of index d is a scaled shifted Jacobi polynomial,
 its coefficients obey a three-term recurrence, and the whole computation
 costs O(min(m, n) + d + log(mn)) field operations instead of the cubic
 determinant definition.  Positive characteristic splits into pinned-down
-cases which this module dispatches on explicitly.
+cases which this module dispatches on explicitly.  The Bezout cofactors
+are scaled pair-basis expansions, quadratic in their degrees.
 """
 
 from __future__ import annotations
@@ -13,16 +14,18 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
-from .combinat import factorial_ratio
+from .combinat import factorial_ratio, principal_ratio
 from .errors import (
     BasisMismatch,
     CharacteristicError,
     CoincidentRoots,
+    PreconditionError,
     UnsupportedCase,
 )
 from .field import (
+    FieldDescriptor,
     FieldValue,
     OpCounter,
     binary_pow,
@@ -32,9 +35,6 @@ from .field import (
     parse_field_spec,
 )
 from .poly import DensePoly, ProblemSpec
-
-# .jacobi is imported inside cofactors and bernstein_to_monomial, its only
-# users here, so that a request for one subresultant does not load it.
 
 __all__ = [
     "CharCase",
@@ -46,6 +46,8 @@ __all__ = [
     "sres_fast",
     "sres_bernstein",
     "bernstein_to_monomial",
+    "pair_basis_coeffs",
+    "expand_pair_basis",
     "cofactors",
     "result_to_json",
     "result_from_json",
@@ -156,10 +158,10 @@ def leading_coefficient_sd(spec: ProblemSpec) -> FieldValue:
         s_d = (alpha-beta)^((m-d)(n-d)) * prod_{i=1}^{d} r_i,
         r_i = (i-1)! (m+n-d-i)! / ((m-i)! (n-i)!).
 
-    The product is one factorial_ratio (prime powers in a product tree
-    over Q, prefix products mod p over F_p), and the active count_ops scopes
-    are credited with the tally of the downward ratio chain
-    r_d = (d-1)! C(m+n-2d, m-d), r_i = r_{i+1} (m+n-d-i) / (i (m-i) (n-i)).
+    The product is principal_ratio(m, n, d), one factorial_ratio, and the
+    active count_ops scopes are credited with the tally of the downward
+    ratio chain r_d = (d-1)! C(m+n-2d, m-d),
+    r_i = r_{i+1} (m+n-d-i) / (i (m-i) (n-i)).
     O(min(m, n) + log(mn)) operations.  Every supported characteristic and
     alpha != beta: the denominators (m-i)! (n-i)! are units for
     p >= max(m, n), and for d >= 1 below the generic threshold the
@@ -169,14 +171,11 @@ def leading_coefficient_sd(spec: ProblemSpec) -> FieldValue:
     _require_supported(spec, classify(spec))
     _require_distinct(spec)
     m, n, d = spec.m, spec.n, spec.d
-    descriptor = spec.descriptor
-    delta = spec.alpha - spec.beta
-    power = binary_pow(delta, (m - d) * (n - d))
+    power = binary_pow(spec.alpha - spec.beta, (m - d) * (n - d))
     if d == 0:
         return power
     _credit_ratio_chain(d - 1, min(m - d, n - d), d - 1)
-    return power * factorial_ratio([range(d), range(m + n - 2 * d, m + n - d)],
-                                   [range(m - d, m), range(n - d, n)], descriptor)
+    return power * principal_ratio(m, n, d, spec.descriptor)
 
 
 def _recurrence_int(m: int, n: int, d: int, alpha: int, beta: int, top: int, p: int) -> list:
@@ -292,8 +291,8 @@ def sres_bernstein(spec: ProblemSpec) -> SubresResult:
         Sres_d = (alpha-beta)^((m-d)(n-d)) * sum_j c_j (x-alpha)^j (x-beta)^(d-j)
 
     with integer-image coefficients c_j.  c_0 is the product of
-    b_i = (i-1)! (m+n-d-i-1)! / ((m-i-1)! (n-i)!) over i = 1..d, one
-    factorial_ratio credited as the ratio chain seeded at
+    b_i = (i-1)! (m+n-d-i-1)! / ((m-i-1)! (n-i)!) over i = 1..d, which is
+    principal_ratio(m-1, n, d), credited as the ratio chain seeded at
     b_d = (d-1)! C(m+n-2d-1, m-d-1), and
 
         c_j = c_{j-1} (d-j+1)(n-d+j-1) / (j (m-j)).
@@ -316,10 +315,9 @@ def sres_bernstein(spec: ProblemSpec) -> SubresResult:
             coeffs = (descriptor.one,)
         else:
             _credit_ratio_chain(d - 1, min(m - d - 1, n - d), d - 1)
-            c = factorial_ratio([range(d), range(m + n - 2 * d - 1, m + n - d - 1)],
-                                [range(m - d - 1, m - 1), range(n - d, n)], descriptor)
+            c = principal_ratio(m - 1, n, d, descriptor).payload.numerator
             credit_ops(muls=d, divs=d)
-            c, p = c.payload.numerator, descriptor.characteristic
+            p = descriptor.characteristic
             out = [c]
             if p:
                 # out[j] = c_0 N_j and scale = E_d, for N_j and E_j the
@@ -349,28 +347,64 @@ def sres_bernstein(spec: ProblemSpec) -> SubresResult:
 
 
 def bernstein_to_monomial(result: SubresResult) -> SubresResult:
-    """Expand a pair-basis result into monomial coefficients (length d+1).
+    """The monomial form of a pair-basis result, in linear time.
 
-    Quadratic in d, so the conversion dominates the linear-time producer
-    when d is large; it exists for interoperability, not speed.
+    A pair-basis result is fixed by its spec, so this checks that its
+    coefficients and prefactor are sres_bernstein(result.spec)'s, raising
+    PreconditionError if not, and returns sres_fast(result.spec), whose
+    op_count is the recurrence's.  Expanding the pair basis instead
+    (expand_pair_basis) is quadratic in d.
     """
-    from .jacobi import expand_pair_basis
-
     if result.basis is not Basis.BERNSTEIN:
         raise BasisMismatch(f"expected bernstein coefficients, got {result.basis.value}")
-    spec = result.spec
-    with count_ops() as counter:
-        expanded = expand_pair_basis(
-            list(result.coeffs), spec.alpha, spec.beta
-        ).scale(result.prefactor)
-        coeffs = tuple(expanded.coeff(i) for i in range(spec.d + 1))
-    return SubresResult(
-        spec=spec,
-        basis=Basis.MONOMIAL,
-        coeffs=coeffs,
-        case=result.case,
-        op_count=counter.snapshot(),
-    )
+    expected = sres_bernstein(result.spec)
+    if tuple(result.coeffs) != expected.coeffs or result.prefactor != expected.prefactor:
+        raise PreconditionError("bernstein_to_monomial converts only sres_bernstein's "
+                                "output; these coefficients or prefactor differ from it")
+    return sres_fast(result.spec)
+
+
+def expand_pair_basis(coeffs, alpha: FieldValue, beta: FieldValue) -> DensePoly:
+    """Expand sum_j coeffs[j] (x - alpha)^j (x - beta)^(r-j), r = len - 1,
+    into the monomial basis in O(r^2) field operations."""
+    if not coeffs:
+        raise PreconditionError("need at least one coefficient")
+    descriptor = alpha.descriptor
+    r = len(coeffs) - 1
+    x_minus_alpha = DensePoly(descriptor, (-alpha, descriptor.one))
+    x_minus_beta = DensePoly(descriptor, (-beta, descriptor.one))
+    beta_powers = [DensePoly.one(descriptor)]
+    for _ in range(r):
+        beta_powers.append(beta_powers[-1] * x_minus_beta)
+    acc = DensePoly.constant(coeffs[r])
+    for t in range(r - 1, -1, -1):
+        acc = acc * x_minus_alpha
+        if not coeffs[t].is_zero():
+            acc = acc + beta_powers[r - t].scale(coeffs[t])
+    return acc
+
+
+def pair_basis_coeffs(r: int, k: int, l: int, descriptor: FieldDescriptor) -> list:
+    """Coefficients t_j of (beta-alpha)^r P_r^{(k,l)}(z) on the basis
+    (x-alpha)^j (x-beta)^(r-j), where z = (2x-alpha-beta)/(beta-alpha):
+
+        t_j = C(k+r, j) * C(l+r, r-j)
+
+    as field images of generalized binomials, C(a, j) = (-1)^j C(j-a-1, j)
+    for a negative top a.  The t_j are integers, computed exactly and
+    injected once, so every characteristic has them.  Credits the tally of
+    the ratio chain t_{j+1} = t_j (k+r-j)(r-j) / ((j+1)(l+j+1)) seeded at
+    t_0 = C(l+r, r): 2r multiplications and 2r divisions.
+    """
+    if r < 0:
+        raise PreconditionError(f"degree must be nonnegative, got {r}")
+    credit_ops(muls=2 * r, divs=2 * r)
+    return [descriptor.element(_comb(k + r, j) * _comb(l + r, r - j)) for j in range(r + 1)]
+
+
+def _comb(a: int, j: int) -> int:
+    """The generalized binomial C(a, j) for an integer a of either sign."""
+    return comb(a, j) if a >= 0 else (-1) ** j * comb(j - a - 1, j)
 
 
 def cofactors(spec: ProblemSpec) -> CofactorPair:
@@ -388,8 +422,6 @@ def cofactors(spec: ProblemSpec) -> CofactorPair:
     formula reduced mod p is the determinantal answer.  In the vanishing
     band (m+n-d-2)! contains p and T = 0, so F = G = 0.
     """
-    from .jacobi import expand_pair_basis, pair_basis_coeffs
-
     case = classify(spec)
     _require_supported(spec, case)
     _require_distinct(spec)
@@ -400,6 +432,8 @@ def cofactors(spec: ProblemSpec) -> CofactorPair:
     t_product = descriptor.one
     if d >= 1:
         _credit_ratio_chain(d, min(m - d, n - d - 1), d - 1, seed_divs=1)
+        # not principal_ratio(m, n, d) * d! (m+n-2d-1)! / (m+n-d-1)!: that
+        # quotient has p in its denominator in the vanishing band
         t_product = factorial_ratio(
             [range(1, d + 1), range(m + n - 2 * d - 1, m + n - d - 1)],
             [range(m - d, m), range(n - d, n)], descriptor)

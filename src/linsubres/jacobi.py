@@ -1,10 +1,10 @@
-"""Jacobi polynomials with integer parameters, over exact fields.
+"""Reference routes for Jacobi polynomials with integer parameters, over
+exact fields: only linsubres.check imports this module, so no request loads it.
 
 Two independent evaluation routes (terminating hypergeometric sum and
-iterated-derivative form) cross-check each other, plus denominator-free
-expansions of Jacobi polynomials composed with the affine shift
-z = (2x - alpha - beta) / (beta - alpha), which is where subresultants of
-(x - alpha)^m and (x - beta)^n live.
+iterated-derivative form) cross-check each other, shifted_jacobi gives the
+pair-basis form that subresultants of (x - alpha)^m and (x - beta)^n are
+multiples of, and hyp2f1_poly and verify_pade_identity check the Pade link.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .combinat import binomial, pochhammer
 from .errors import CharacteristicError, CoincidentRoots, PreconditionError
-from .field import FieldDescriptor, FieldValue, char_of, credit_ops, inject_nonzero
-from .fastsubres import cofactors, sres_fast
+from .fastsubres import cofactors, expand_pair_basis, sres_fast
+from .field import FieldDescriptor, char_of, inject_nonzero
 from .poly import DensePoly, ProblemSpec, power_of_linear
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "jacobi_hypergeometric",
     "jacobi_rodrigues",
     "shifted_jacobi",
-    "pair_basis_coeffs",
-    "expand_pair_basis",
     "hyp2f1_poly",
     "verify_pade_identity",
 ]
@@ -109,49 +107,6 @@ def jacobi_rodrigues(params: JacobiParams, descriptor: FieldDescriptor) -> Dense
         q = linear * q + one_minus_x2 * q.derivative()
     scalar = descriptor.element(Fraction((-1) ** r, 2**r * math.factorial(r)))
     return q.scale(scalar)
-
-
-def expand_pair_basis(coeffs, alpha: FieldValue, beta: FieldValue) -> DensePoly:
-    """Expand sum_j coeffs[j] (x - alpha)^j (x - beta)^(r-j), r = len - 1,
-    into the monomial basis in O(r^2) field operations."""
-    if not coeffs:
-        raise PreconditionError("need at least one coefficient")
-    descriptor = alpha.descriptor
-    r = len(coeffs) - 1
-    x_minus_alpha = DensePoly(descriptor, (-alpha, descriptor.one))
-    x_minus_beta = DensePoly(descriptor, (-beta, descriptor.one))
-    beta_powers = [DensePoly.one(descriptor)]
-    for _ in range(r):
-        beta_powers.append(beta_powers[-1] * x_minus_beta)
-    acc = DensePoly.constant(coeffs[r])
-    for t in range(r - 1, -1, -1):
-        acc = acc * x_minus_alpha
-        if not coeffs[t].is_zero():
-            acc = acc + beta_powers[r - t].scale(coeffs[t])
-    return acc
-
-
-def pair_basis_coeffs(r: int, k: int, l: int, descriptor: FieldDescriptor) -> list:
-    """Coefficients t_j of (beta-alpha)^r P_r^{(k,l)}(z) on the basis
-    (x-alpha)^j (x-beta)^(r-j), where z = (2x-alpha-beta)/(beta-alpha):
-
-        t_j = C(k+r, j) * C(l+r, r-j)
-
-    as field images of generalized binomials, C(a, j) = (-1)^j C(j-a-1, j)
-    for a negative top a.  The t_j are integers, computed exactly and
-    injected once, so every characteristic has them.  Credits the tally of
-    the ratio chain t_{j+1} = t_j (k+r-j)(r-j) / ((j+1)(l+j+1)) seeded at
-    t_0 = C(l+r, r): 2r multiplications and 2r divisions.
-    """
-    if r < 0:
-        raise PreconditionError(f"degree must be nonnegative, got {r}")
-    credit_ops(muls=2 * r, divs=2 * r)
-    return [descriptor.element(_comb(k + r, j) * _comb(l + r, r - j)) for j in range(r + 1)]
-
-
-def _comb(a: int, j: int) -> int:
-    """The generalized binomial C(a, j) for an integer a of either sign."""
-    return math.comb(a, j) if a >= 0 else (-1) ** j * math.comb(j - a - 1, j)
 
 
 def shifted_jacobi(spec: ProblemSpec) -> DensePoly:

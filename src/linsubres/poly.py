@@ -10,7 +10,7 @@ import math
 from collections import namedtuple
 
 from .errors import FieldMismatch, PreconditionError
-from .field import FieldDescriptor, FieldValue
+from .field import FieldDescriptor, FieldValue, parse_field_spec
 
 __all__ = [
     "DensePoly",
@@ -204,7 +204,5 @@ def poly_to_json(poly: DensePoly) -> dict:
 
 
 def poly_from_json(obj: dict) -> DensePoly:
-    from .field import parse_field_spec
-
     descriptor = parse_field_spec(obj["field"])
     return DensePoly(descriptor, [descriptor.from_str(s) for s in obj["coeffs"]])

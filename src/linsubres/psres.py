@@ -6,7 +6,7 @@ O(min(m, n) + log(mn)) field operations.
 
 psres_all runs one downward chain on Python ints.  Over F_p, and over Q
 with an integer delta != 0, it starts at s_{low-1}, with c(low-1) from
-factorial_ratio, and steps
+combinat.principal_ratio, and steps
 
     s_{i-1} = s_i // num(u_i) * delta^(m+n-2i+1) * den(u_i),  u_i = c(i)/c(i-1).
 
@@ -26,8 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .combinat import factorial_ratio
-from .errors import CharacteristicError, FieldMismatch, PreconditionError
+from .combinat import principal_ratio
+from .errors import CharacteristicError
 from .field import (
     FieldDescriptor,
     FieldValue,
@@ -37,19 +37,14 @@ from .field import (
     prime_field,
     rationals,
 )
+from .poly import ProblemSpec
 
 __all__ = ["psres_all"]
 
 
 def _check_args(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> FieldDescriptor:
-    for name, value in (("m", m), ("n", n)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise PreconditionError(f"{name} must be an int >= 1, got {value!r}")
-    if not isinstance(alpha, FieldValue) or not isinstance(beta, FieldValue):
-        raise PreconditionError("alpha and beta must be FieldValues")
-    if alpha.descriptor != beta.descriptor:
-        raise FieldMismatch("alpha and beta live in different fields")
-    descriptor = alpha.descriptor
+    """ProblemSpec's checks at d = 0, and p = 0 or p >= m + n."""
+    descriptor = ProblemSpec(m, n, 0, alpha, beta).descriptor
     p = char_of(descriptor)
     if p and p < m + n:
         raise CharacteristicError(
@@ -98,9 +93,7 @@ def _downward(m: int, n: int, delta: int, p: int) -> list:
     the module docstring, on integers (p = 0) or residues mod p >= m + n."""
     low = min(m, n)
     top = low - 1
-    s = factorial_ratio([range(top), range(m + n - 2 * top, m + n - top)],
-                        [range(m - top, m), range(n - top, n)],
-                        prime_field(p) if p else rationals()).payload.numerator
+    s = principal_ratio(m, n, top, prime_field(p) if p else rationals()).payload.numerator
     s *= pow(delta, (m - top) * (n - top), p or None)
     step = pow(delta, m + n - 2 * top + 1, p or None)
     delta_sq = delta * delta

@@ -9,6 +9,7 @@ from linsubres.errors import (
     BasisMismatch,
     CharacteristicError,
     CoincidentRoots,
+    PreconditionError,
     UnsupportedCase,
 )
 from linsubres.fastsubres import (
@@ -17,6 +18,7 @@ from linsubres.fastsubres import (
     bernstein_to_monomial,
     classify,
     cofactors,
+    expand_pair_basis,
     leading_coefficient_sd,
     result_from_json,
     result_to_json,
@@ -229,8 +231,8 @@ def test_sres_bernstein_integrality_and_conversion():
                     spec = spec_of(m, n, d, a, b)
                     result = sres_bernstein(spec)
                     assert all(c.payload.denominator == 1 for c in result.coeffs)
-                    converted = bernstein_to_monomial(result)
-                    assert converted.polynomial() == sres_fast(spec).polynomial()
+                    expanded = expand_pair_basis(result.coeffs, spec.alpha, spec.beta)
+                    assert expanded.scale(result.prefactor) == sres_fast(spec).polynomial()
 
 
 def test_sres_bernstein_rejects_non_generic():
@@ -241,12 +243,21 @@ def test_sres_bernstein_rejects_non_generic():
 
 
 def test_basis_mismatch_errors():
-    monomial = sres_fast(spec_of(3, 3, 1, 0, 1))
+    spec = spec_of(3, 3, 1, 0, 1)
+    monomial = sres_fast(spec)
     with pytest.raises(BasisMismatch):
         bernstein_to_monomial(monomial)
-    bernstein = sres_bernstein(spec_of(3, 3, 1, 0, 1))
+    bernstein = sres_bernstein(spec)
     with pytest.raises(BasisMismatch):
         bernstein.polynomial()
+    assert bernstein_to_monomial(bernstein) == monomial  # op_count included
+    round_trip = result_from_json(result_to_json(bernstein))
+    assert bernstein_to_monomial(round_trip) == monomial
+    one_changed = bernstein._replace(coeffs=(bernstein.coeffs[0] + Q.one, *bernstein.coeffs[1:]))
+    with pytest.raises(PreconditionError):
+        bernstein_to_monomial(one_changed)
+    with pytest.raises(PreconditionError):
+        bernstein_to_monomial(bernstein._replace(prefactor=bernstein.prefactor + Q.one))
 
 
 def test_cofactors_simplest_case():

@@ -10,14 +10,13 @@ from linsubres.errors import (
     CoincidentRoots,
     PreconditionError,
 )
+from linsubres.fastsubres import expand_pair_basis, pair_basis_coeffs
 from linsubres.field import binary_pow, prime_field, rationals
 from linsubres.jacobi import (
     JacobiParams,
-    expand_pair_basis,
     hyp2f1_poly,
     jacobi_hypergeometric,
     jacobi_rodrigues,
-    pair_basis_coeffs,
     shifted_jacobi,
     verify_pade_identity,
 )

@@ -2,6 +2,7 @@
 namespace is lazy, and the records on the request path are plain
 namedtuples."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -48,8 +49,8 @@ def test_compute_loads_no_check_code(loaded):
     assert not modules & NOT_FOR_COMPUTE
 
 
-def test_cofactors_add_only_jacobi(loaded):
-    assert loaded(COMPUTE + ["--cofactors"]) - loaded(COMPUTE) == {"linsubres.jacobi"}
+def test_cofactors_loads_what_compute_loads(loaded):
+    assert loaded(COMPUTE + ["--cofactors"]) == loaded(COMPUTE)
 
 
 def test_psres_adds_only_psres(loaded):
@@ -61,6 +62,40 @@ def test_import_linsubres_loads_no_submodule(loaded):
     modules = loaded(["-c", "import linsubres"])
     assert "linsubres" in modules
     assert not [name for name in modules if name.startswith("linsubres.")]
+
+
+def package_imports():
+    """(module file, enclosing function or None, imported linsubres module)
+    for every import statement in the package."""
+    for path in sorted((SRC / "linsubres").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    scopes.setdefault(inner, node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [f"linsubres.{node.module or alias.name}" for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                if name and name.split(".")[0] == "linsubres":
+                    yield path.name, scopes.get(node), name
+
+
+def test_only_the_cli_imports_inside_a_function():
+    local = [(file, func, name) for file, func, name in package_imports() if func]
+    assert local and all(file == "cli.py" for file, _, _ in local), local
+
+
+def test_only_check_imports_jacobi():
+    assert {file for file, _, name in package_imports()
+            if name == "linsubres.jacobi"} == {"check.py"}
 
 
 @pytest.mark.parametrize("name", linsubres.__all__)
