@@ -487,13 +487,14 @@ BENCH_ALGORITHMS = ("fast", "psres_all", "oracle")
 
 
 def run_bench(sizes, descriptor: FieldDescriptor, oracle_cutoff: int,
-              algorithms=BENCH_ALGORITHMS):
-    """One row per (size, algorithm): m = n = size, d = size // 2,
-    alpha = 1, beta = 2.  Oracle runs are skipped above the cutoff."""
+              algorithms=BENCH_ALGORITHMS, alpha=1, beta=2):
+    """One row per (size, algorithm): m = n = size, d = size // 2, roots
+    alpha and beta (values descriptor.element accepts; 1 and 2 by
+    default).  Oracle runs are skipped above the cutoff."""
     rows = []
     field_name = descriptor.spec_string()
-    alpha = descriptor.element(1)
-    beta = descriptor.element(2)
+    alpha = descriptor.element(alpha)
+    beta = descriptor.element(beta)
     for size in sizes:
         m = n = size
         d = size // 2

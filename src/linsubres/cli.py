@@ -126,7 +126,11 @@ def cmd_bench(args) -> int:
             f"choose from {', '.join(BENCH_ALGORITHMS)}"
         )
     descriptor = parse_field_spec(args.field)
-    rows = run_bench(sizes, descriptor, args.oracle_cutoff, algorithms)
+    alpha = descriptor.from_str(args.alpha)
+    beta = descriptor.from_str(args.beta)
+    if alpha == beta:
+        raise ValueError(f"bench needs distinct roots, have alpha = beta = {alpha}")
+    rows = run_bench(sizes, descriptor, args.oracle_cutoff, algorithms, alpha, beta)
     with open(args.csv, "w", newline="") if args.csv else nullcontext(sys.stdout) as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
@@ -187,6 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--field", default="fp:10007")
     bench.add_argument("--algorithms", default="fast,psres_all,oracle",
                        help="comma-separated subset of fast, psres_all, oracle")
+    bench.add_argument("--alpha", default="1", help="root of f (default 1)")
+    bench.add_argument("--beta", default="2", help="root of g (default 2)")
     bench.add_argument("--csv", help="write rows to this file instead of stdout")
     bench.add_argument("--oracle-cutoff", type=int, default=64,
                        help="run the determinant oracle only up to this size")

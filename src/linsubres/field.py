@@ -1,14 +1,16 @@
 """Exact coefficient fields (Q and F_p) with arithmetic-operation counting.
 
 Every +, -, *, / on a FieldValue increments whatever OpCounter scopes are
-active on the current context.  Counting costs one ContextVar read per
-operation when no scope is active, so the fast paths stay usable inside
-the cubic-cost determinant oracle.
+active on the current context, and a power (binary_pow) credits the
+multiplications of square and multiply.  Counting costs one ContextVar
+read per operation when no scope is active, so the fast paths stay usable
+inside the cubic-cost determinant oracle.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
@@ -148,6 +150,12 @@ def credit_ops(adds: int = 0, muls: int = 0, divs: int = 0, negs: int = 0) -> No
 Payload = Union[Fraction, int]
 
 
+def _int_digit_cap() -> int:
+    """The interpreter's int-to-str digit cap; 0 when there is none."""
+    getter = getattr(sys, "get_int_max_str_digits", None)
+    return getter() if getter else 0
+
+
 class FieldDescriptor:
     """A concrete coefficient field: the rationals or F_p for prime p < 2**64."""
 
@@ -217,13 +225,35 @@ class FieldDescriptor:
         return tuple(map(FieldValue, repeat(self), values))
 
     def from_str(self, text: str) -> "FieldValue":
+        """element(text.strip()), with a ValueError that names the text.
+
+        While the interpreter caps int-to-str digits, a rational whose
+        numerator or denominator has more digits than the cap is refused,
+        as int(text) refuses one.  Fraction's exponent form ("1e5000")
+        would otherwise build its power of ten by arithmetic, past the cap;
+        an exponent above cap + len(text) is refused before it is built,
+        since no value it gives but zero fits the cap.  F_p parses through
+        int() alone, which the cap already guards."""
+        cap = 0 if self.modulus else _int_digit_cap()
         try:
-            return self.element(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+            if cap:
+                _, mark, exponent = text.strip().lower().partition("e")
+                if mark and abs(int(exponent)) > cap + len(text):
+                    raise OverflowError(f"an exponent past the {cap}-digit input limit")
+            value = self.element(text.strip())
+            if cap:
+                big = max(abs(value.payload.numerator), value.payload.denominator)
+                # a b-bit big is below 2^b <= 10^cap while 10 b <= 33 cap
+                if big.bit_length() * 10 > cap * 33 and big >= 10**cap:
+                    raise OverflowError(
+                        f"a numerator or denominator past the {cap}-digit input limit")
+            return value
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             shown = repr(text)
             if len(text) > 40:
                 shown = f"{text[:40]!r}... ({len(text)} characters)"
-            raise ValueError(f"cannot parse {shown} as an element of {self}") from exc
+            reason = f": {exc}" if isinstance(exc, OverflowError) else ""
+            raise ValueError(f"cannot parse {shown} as an element of {self}{reason}") from exc
 
     def spec_string(self) -> str:
         if self.modulus is None:
@@ -375,30 +405,32 @@ def parse_field_spec(text: str) -> FieldDescriptor:
 
 
 def binary_pow(base: FieldValue, exponent: int) -> FieldValue:
-    """base**exponent by square and multiply.
+    """base**exponent by the builtin power: pow(payload, e, p) over F_p,
+    payload ** e over Q (a Fraction power needs no gcd).
 
-    Uses at most 2*floor(log2(e)) + 1 multiplications for e >= 1; doubling
-    the exponent adds at most two.  exponent = 0 returns one, including
-    0**0 = 1 (the empty-product convention used throughout the package).
+    Every active count_ops scope is credited with binary_pow_muls(e), the
+    multiplications of square and multiply: at most 2*floor(log2(e)) + 1
+    for e >= 1, so doubling the exponent adds at most two.  exponent = 0
+    returns one, including 0**0 = 1 (the empty-product convention used
+    throughout the package).
     """
     if not isinstance(exponent, int) or isinstance(exponent, bool):
         raise TypeError("exponent must be an int")
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
-    result = None
-    e = exponent
-    while True:
-        if e & 1:
-            result = base if result is None else result * base
-        e >>= 1
-        if not e:
-            break
-        base = base * base
-    return base.descriptor.one if result is None else result
+    muls = binary_pow_muls(exponent)
+    for c in _counters.get():
+        c.muls += muls
+    d = base.descriptor
+    if d.modulus is None:
+        return FieldValue(d, base.payload ** exponent)
+    return FieldValue(d, pow(base.payload, exponent, d.modulus))
 
 
 def binary_pow_muls(exponent: int) -> int:
-    """The number of multiplications binary_pow(base, exponent) performs."""
+    """The multiplications square and multiply spends on base**exponent:
+    floor(log2(e)) squarings and one fewer multiplication than e has set
+    bits; the tally binary_pow credits."""
     return max(exponent.bit_length() - 1, 0) + max(bin(exponent).count("1") - 1, 0)
 
 

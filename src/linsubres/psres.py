@@ -10,21 +10,28 @@ combinat.principal_ratio, and steps
 
     s_{i-1} = s_i // num(u_i) * delta^(m+n-2i+1) * den(u_i),  u_i = c(i)/c(i-1).
 
-Over Q, u_i is in lowest terms and num(u_i) divides c(i), which divides
-s_i, so the division is exact.  Over F_p (p >= m + n, so every factor of
-num(u_i) is a unit) u_i stays an unreduced pair of residues, and one
-inverse, of num(u_{low-1}), serves every step.  For a non-integer delta
-over Q the chain at delta = 1 gives the c(i), which a downward chain of
-Fraction powers multiplies by delta^((m-i)(n-i)).  alpha = beta gives
-zeros.  check.psres_schedule, the reference route the tests compare
-psres_all with, builds both chains index by index in FieldValue arithmetic;
-psres_all credits the active count_ops scopes with its op tally.
+Over Q, u_i is taken in closed form and lowest terms,
+
+    u_i = C(m+n-2i, m-i) / C(m+n-i, i-1),
+
+both binomials divided by their gcd.  math.comb gives them at
+i = low - 1, and each step down multiplies them by exact ratios of small
+integers, as in C(N+2, K+1) = C(N, K) (N+1)(N+2) / ((K+1)(N-K+1)); at
+m + n ~ 900 that costs a tenth of a math.comb call.  num(u_i) divides
+c(i), which divides s_i, so the division is exact.  Over F_p
+(p >= m + n, so every factor of num(u_i) is a unit) u_i stays an
+unreduced pair of residues, and one inverse, of num(u_{low-1}), serves
+every step.  For a non-integer delta over Q the chain at delta = 1 gives
+the c(i), which a downward chain of Fraction powers multiplies by
+delta^((m-i)(n-i)).  alpha = beta gives zeros.  check.psres_schedule, the
+reference route the tests compare psres_all with, builds both chains
+index by index in FieldValue arithmetic; psres_all credits the active
+count_ops scopes with its op tally.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .combinat import principal_ratio
 from .errors import CharacteristicError
@@ -97,14 +104,14 @@ def _downward(m: int, n: int, delta: int, p: int) -> list:
     s *= pow(delta, (m - top) * (n - top), p or None)
     step = pow(delta, m + n - 2 * top + 1, p or None)
     delta_sq = delta * delta
-    # u_1 = C(m+n-2, m-1) and u_{d+1} = u_d v_d, v_d = a_d / b_d
-    v = [(d * (m - d) * (n - d) * (m + n - d),
-          (m + n - 2 * d - 1) * (m + n - 2 * d) ** 2 * (m + n - 2 * d + 1))
-         for d in range(1, low - 1)]
     values = [0] * low
     if p:
+        # u_1 = C(m+n-2, m-1) and u_{d+1} = u_d v_d, v_d = a_d / b_d, with
         # u_i = num_i / den_i unreduced, so one inverse, of num_top, serves
         # every step down: 1/num_{i-1} = a_{i-1} / num_i
+        v = [(d * (m - d) * (n - d) * (m + n - d),
+              (m + n - 2 * d - 1) * (m + n - 2 * d) ** 2 * (m + n - 2 * d + 1))
+             for d in range(1, low - 1)]
         num, dens = comb(m + n - 2, m - 1) % p, [1]
         for a, b in v:
             num = num * a % p
@@ -117,13 +124,18 @@ def _downward(m: int, n: int, delta: int, p: int) -> list:
             step = step * delta_sq % p
             inverse = inverse * ((i - 1) * (m - i + 1) * (n - i + 1) * (m + n - i + 1)) % p
     else:
-        u = [Fraction(comb(m + n - 2, m - 1))]
-        for a, b in v:
-            u.append(u[-1] * Fraction(a, b))
+        # u_i = a / b, a = C(m+n-2i, m-i) and b = C(m+n-i, i-1), each
+        # stepped from i to i - 1 by its exact integer ratio
         values[top] = s
+        a = comb(m + n - 2 * top, m - top)
+        b = comb(m + n - top, top - 1) if top else 0  # min(m, n) = 1: no step
         for i in range(top, 0, -1):
-            s = s // u[i - 1].numerator * (step * u[i - 1].denominator)
+            g = gcd(a, b)
+            s = s // (a // g) * (step * (b // g))
             values[i - 1] = s
             step *= delta_sq
+            k = m + n - 2 * i
+            a = a * ((k + 1) * (k + 2)) // ((m - i + 1) * (n - i + 1))
+            b = b * ((m + n - i + 1) * (i - 1)) // ((k + 2) * (k + 3))
     _credit_schedule(m, n)
     return values

@@ -260,6 +260,25 @@ def test_bench_algorithm_selection(capsys):
     assert len(table) == 2
 
 
+def test_bench_roots(capsys):
+    """--alpha and --beta reach every row: at alpha = 1, beta = -1 zero
+    coefficients let the recurrence skip terms, so the `fast` counts differ
+    from the default roots' and equal sres_fast's at those roots."""
+    argv = ["bench", "--sizes", "12", "--field", "fp:10007", "--algorithms", "fast"]
+    F = prime_field(10007)
+    counts = []
+    for alpha, beta, flags in ((1, 2, []), (1, -1, ["--alpha", "1", "--beta", "-1"])):
+        assert main(argv + flags) == 0
+        table = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        (row,) = [BenchRow.from_csv(line) for line in table[1:]]
+        expected = sres_fast(ProblemSpec(12, 12, 6, F.element(alpha), F.element(beta))).op_count
+        assert (row.adds, row.muls, row.divs) == (expected.adds, expected.muls, expected.divs)
+        counts.append((row.adds, row.muls))
+    assert counts[0] != counts[1]
+    assert main(argv + ["--alpha", "3", "--beta", "3"]) == 2
+    assert "distinct roots" in capsys.readouterr().err
+
+
 def test_bench_rejects_bad_algorithms(capsys):
     assert main(["bench", "--sizes", "4", "--algorithms", "slow"]) == 2
     assert "bad algorithm list" in capsys.readouterr().err
@@ -297,6 +316,30 @@ def test_input_past_the_int_str_limit_is_a_usage_error(capsys):
     err = capsys.readouterr().err
     assert "cannot parse" in err and "5000 characters" in err
     assert len(err) < 200
+
+
+def test_exponent_form_is_held_to_the_int_str_limit(capsys):
+    """Fraction builds 10^e of "1e<e>" by arithmetic; the value is held to
+    the digit cap as a plain decimal is, on both sides of the boundary, and
+    a huge exponent is refused before it is built."""
+    cap = sys.get_int_max_str_digits()
+    head = ["psres", "--m=2", "--n=2", "--beta=3"]
+    for alpha, expected in [("3", "3"), ("-5/2", "-5/2"), ("2.5", "5/2"), ("1e5", "100000"),
+                            (f"1e{cap - 1}", "1" + "0" * (cap - 1)),
+                            (f"1e-{cap - 1}", "1/1" + "0" * (cap - 1))]:
+        payload = run_json(capsys, head + [f"--alpha={alpha}"])
+        assert payload["alpha"] == expected
+    for alpha in (f"1e{cap}", f"1e-{cap}", f"-2.5e{cap + 1}", "1." + "0" * (cap - 1) + "1",
+                  "1e1000000", "1e-1000000"):
+        assert main(head + [f"--alpha={alpha}"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot parse" in err and f"{cap}-digit input limit" in err and len(err) < 200
+    sys.set_int_max_str_digits(0)
+    try:
+        payload = run_json(capsys, head + [f"--alpha=1e{cap}"])
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert payload["alpha"] == "1" + "0" * cap
 
 
 def test_rational_roots_over_a_prime_field(capsys):

@@ -14,7 +14,9 @@ from linsubres.errors import (
 )
 from linsubres.field import (
     FieldValue,
+    OpCounter,
     binary_pow,
+    binary_pow_muls,
     char_of,
     count_ops,
     parse_field_spec,
@@ -194,6 +196,42 @@ def test_binary_pow_multiplication_bound():
                 binary_pow(base, e // 2)
             assert ops.muls <= half.muls + 2  # doubling adds at most two
         previous = e
+
+
+def _square_and_multiply_muls(exponent):
+    """The multiplications of the right-to-left square-and-multiply loop."""
+    muls, started = 0, False
+    while exponent:
+        if exponent & 1:
+            muls += started
+            started = True
+        exponent >>= 1
+        muls += exponent > 0
+    return muls
+
+
+@pytest.mark.parametrize("base", [
+    Q.element(-13), Q.element(Fraction(-7, 3)), Q.zero,
+    prime_field(1000003).element(12345), prime_field(7).zero,
+])
+def test_binary_pow_is_the_builtin_power_credited_by_square_and_multiply(base):
+    descriptor = base.descriptor
+    for e in range(301):
+        with count_ops() as outer:
+            with count_ops() as inner:
+                value = binary_pow(base, e)
+        expected = pow(base.payload, e, descriptor.modulus)
+        assert value.descriptor is descriptor and value.payload == expected
+        assert type(value.payload) is type(base.payload)
+        assert binary_pow_muls(e) == _square_and_multiply_muls(e)
+        assert inner == outer == OpCounter(muls=binary_pow_muls(e))
+    with pytest.raises(TypeError):
+        binary_pow(base, True)
+    with pytest.raises(TypeError):
+        binary_pow(base, 2.0)
+    with pytest.raises(ValueError):
+        binary_pow(base, -1)
+    assert base ** 5 == binary_pow(base, 5)
 
 
 def test_opcounter_json_shape():

@@ -489,3 +489,43 @@ def test_q_routes_match_fp_mod_a_large_prime(m, n, a, b, data):
     assert reduced(q_pair.g.coeffs) == residues(p_pair.g.coeffs)
     assert reduced(psres_all(m, n, q_spec.alpha, q_spec.beta)) == residues(
         psres_all(m, n, p_spec.alpha, p_spec.beta))
+
+
+# Past the oracle box: both orders, min(m, n) in {1, 2}, and m, n up to 300.
+_RATIO_SHAPES = [(300, 300), (300, 299), (299, 300), (300, 37), (37, 300), (250, 123),
+                 (1, 300), (300, 1), (2, 300), (300, 2), (1, 1), (2, 2), (2, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("a, b", [(3, -2), (-4, 7), (1, 0)])
+def test_psres_closed_form_ratio_matches_fp_past_the_oracle_box(a, b):
+    """psres_all over Q with an integer delta steps by the closed-form ratio
+    u_i = C(m+n-2i, m-i) / C(m+n-i, i-1); the F_p route keeps its own
+    a_d / b_d chain.  Reduced mod 2^61 - 1 they agree, and both credit
+    psres_schedule's tally."""
+    for m, n in _RATIO_SHAPES:
+        with count_ops() as q_count:
+            q_values = psres_all(m, n, *_roots(Q, a, b))
+        with count_ops() as p_count:
+            p_values = psres_all(m, n, *_roots(F61, a, b))
+        with count_ops() as schedule:
+            psres_schedule(m, n, *_roots(F61, a, b))
+        assert [_mod_p(v.payload) for v in q_values] == [v.payload for v in p_values], (m, n)
+        assert q_count == p_count == schedule, (m, n)
+
+
+@pytest.mark.parametrize("a, b", [("1/2", "-1/3"), ("-7/9", "5/8"), ("5/6", 0)])
+def test_psres_rational_delta_matches_the_schedule(a, b):
+    """A non-integer delta runs the closed-form chain at delta = 1; values
+    and tallies equal psres_schedule's, whose u chain is the closed form."""
+    sizes = (1, 2, 3, 7, 13, 22, 31, 39, 40)
+    alpha, beta = _roots(Q, a, b)
+    for m in sizes:
+        for n in sizes:
+            with count_ops() as fast:
+                values = psres_all(m, n, alpha, beta)
+            with count_ops() as reference:
+                schedule = psres_schedule(m, n, alpha, beta)
+            assert (values, fast) == (list(schedule.values), reference), (m, n)
+            assert [u.payload for u in schedule.u] == [
+                Fraction(math.comb(m + n - 2 * i, m - i), math.comb(m + n - i, i - 1))
+                for i in range(1, min(m, n))], (m, n)
