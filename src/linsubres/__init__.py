@@ -1,10 +1,11 @@
 """Exact subresultants of (x - alpha)^m and (x - beta)^n in linear time.
 
 Public surface: exact fields with operation counting (field), dense
-polynomials (poly), combinatorial images (combinat), the fast subresultant
-and cofactor algorithms (fastsubres), all principal subresultants at once
+polynomials (poly), the fast subresultant and cofactor algorithms and
+their integer kernels (fastsubres), all principal subresultants at once
 (psres), and a CLI (cli); off the request path, the reference Jacobi
-routes (jacobi) and the determinant oracles and self-checks (check).
+routes and combinatorics (jacobi) and the determinant oracles and
+self-checks (check).
 
 The namespace is lazy: `import linsubres` loads no submodule, and each
 name below imports its module on first access.
@@ -19,15 +20,15 @@ _SOURCES = {
     name: module
     for module, names in {
         "errors": "errors",
-        "combinat": "binomial factorial_ratio falling_product pochhammer",
         "fastsubres": "Basis CharCase CofactorPair SubresResult bernstein_to_monomial "
-                      "classify cofactors expand_pair_basis leading_coefficient_sd "
-                      "pair_basis_coeffs result_from_json result_to_json sres_bernstein "
-                      "sres_fast",
+                      "classify cofactors expand_pair_basis factorial_ratio "
+                      "leading_coefficient_sd pair_basis_coeffs result_from_json "
+                      "result_to_json sres_bernstein sres_fast",
         "field": "FieldDescriptor FieldKind FieldValue OpCounter binary_pow char_of "
                  "count_ops parse_field_spec prime_field rationals",
-        "jacobi": "JacobiParams hyp2f1_poly jacobi_hypergeometric jacobi_rodrigues "
-                  "shifted_jacobi verify_pade_identity",
+        "jacobi": "JacobiParams binomial falling_product hyp2f1_poly "
+                  "jacobi_hypergeometric jacobi_rodrigues pochhammer shifted_jacobi "
+                  "verify_pade_identity",
         "poly": "DensePoly ProblemSpec poly_from_json poly_to_json power_of_linear",
         "check": "psres_oracle sres_oracle PsresSchedule psres_schedule",
         "psres": "psres_all",

@@ -18,7 +18,6 @@ import random
 import time
 from fractions import Fraction
 
-from .combinat import binomial
 from .errors import FieldMismatch, PreconditionError
 from .fastsubres import (
     CharCase,
@@ -38,6 +37,7 @@ from .field import (
 )
 from .jacobi import (
     JacobiParams,
+    binomial,
     jacobi_hypergeometric,
     jacobi_rodrigues,
     shifted_jacobi,

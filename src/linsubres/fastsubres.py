@@ -7,6 +7,11 @@ costs O(min(m, n) + d + log(mn)) field operations instead of the cubic
 determinant definition.  Positive characteristic splits into pinned-down
 cases which this module dispatches on explicitly.  The Bezout cofactors
 are scaled pair-basis expansions, quadratic in their degrees.
+
+The kernels run on Python ints, exact when p = 0 and mod p otherwise,
+and credit the tallies of the FieldValue chains they replace: the seed
+factorial_ratio, the chain c_j = c_{j-1} num_j / den_j (_ratio_chain, one
+inverse over F_p) and sres_fast's three-term recurrence (_recurrence_int).
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, lcm
+from itertools import accumulate
+from math import comb, isqrt, lcm
 
-from .combinat import factorial_ratio, principal_ratio
 from .errors import (
     BasisMismatch,
     CharacteristicError,
@@ -42,6 +47,8 @@ __all__ = [
     "SubresResult",
     "CofactorPair",
     "classify",
+    "factorial_ratio",
+    "principal_ratio",
     "leading_coefficient_sd",
     "sres_fast",
     "sres_bernstein",
@@ -142,14 +149,139 @@ def _require_generic(spec: ProblemSpec, case: CharCase, what: str) -> None:
         )
 
 
+def factorial_ratio(numerator, denominator, descriptor: FieldDescriptor) -> FieldValue:
+    """Field image of  prod a! (a in the numerator ranges)
+    / prod b! (b in the denominator ranges).
+
+    Each argument is an iterable of unit-step ranges of nonnegative
+    factorial arguments.  The route depends only on p and the ranges.
+
+    Over F_p with p at least every range stop, every a! is a unit, and
+    with SF(k) = prod_{a<k} a! mod p a range [s, t) contributes
+    SF(t) / SF(s): one pass k = 1..top carries k! and SF(k), keeps SF(k)
+    only at the range ends, and the whole ratio costs one inverse.
+
+    Otherwise (over Q, or p inside the range) the multiplicity of every k
+    is a suffix sum over a difference array of the ranges, O(N) for N the
+    largest argument, and a smallest-prime-factor sieve pushes each
+    composite's count onto its factors, leaving Legendre's prime exponents.
+    Over Q the prime powers meet in a balanced product tree (an order of
+    magnitude faster than multiplying the factorials out); over F_p they
+    are reduced mod p with one inverse, and a net positive power of p
+    gives zero, a net negative one CharacteristicError.
+    """
+    spans = [(r, 1) for r in numerator] + [(r, -1) for r in denominator]
+    for r, _ in spans:
+        if not isinstance(r, range) or r.step != 1 or (r and r.start < 0):
+            raise ValueError(f"factorial arguments must be unit-step ranges of "
+                             f"nonnegative integers, got {r!r}")
+    top = max((r.stop for r, _ in spans if r), default=1)
+    p = descriptor.characteristic
+    if p and p >= top:
+        sf, acc, fact, done = {}, 1, 1, 0  # acc = SF(done), fact = done!
+        for end in sorted({e for r, _ in spans if r for e in (r.start, r.stop)}):
+            for k in range(done + 1, end + 1):
+                acc = acc * fact % p
+                fact = fact * k % p
+            sf[end], done = acc, end
+        num = den = 1
+        for r, sign in spans:
+            if r:
+                up, down = (r.stop, r.start) if sign > 0 else (r.start, r.stop)
+                num = num * sf[up] % p
+                den = den * sf[down] % p
+        return FieldValue(descriptor, num * pow(den, -1, p) % p)
+    diff = [0] * (top + 1)
+    for r, sign in spans:
+        if r:
+            diff[r.start] += sign
+            diff[r.stop] -= sign
+    factorials = list(accumulate(diff[:top]))  # signed count of each a!
+    # exponent[k]: how often k occurs as a factor, the signed count of the
+    # a! with a >= k
+    exponent = list(accumulate(reversed(factorials)))[::-1]
+    # spf[k]: smallest prime factor of k; smaller primes overwrite larger
+    spf = list(range(top))
+    small = [f for f in range(2, isqrt(top - 1) + 1)
+             if all(f % q for q in range(2, isqrt(f) + 1))]
+    for f in reversed(small):
+        spf[f * f::f] = [f] * len(range(f * f, top, f))
+    # move each composite's exponent onto spf[k] and k // spf[k], both
+    # smaller than k, so one downward pass leaves only prime exponents
+    for k in range(top - 1, 3, -1):
+        f = spf[k]
+        if f != k and exponent[k]:
+            exponent[f] += exponent[k]
+            exponent[k // f] += exponent[k]
+    primes = [(q, exponent[q]) for q in range(2, top) if spf[q] == q and exponent[q]]
+    if not p:
+        num = _product_tree([q ** e for q, e in primes if e > 0])
+        den = _product_tree([q ** -e for q, e in primes if e < 0])
+        return FieldValue(descriptor, Fraction(num, den))
+    num = den = 1
+    for q, e in primes:
+        if q == p:
+            if e < 0:
+                raise CharacteristicError(
+                    f"the factorial ratio has {p}^{-e} in its denominator, "
+                    f"which vanishes in characteristic {p}")
+            return descriptor.zero
+        if e > 0:
+            num = num * pow(q, e, p) % p
+        else:
+            den = den * pow(q, -e, p) % p
+    return FieldValue(descriptor, num * pow(den, -1, p) % p)
+
+
+def principal_ratio(m: int, n: int, d: int, descriptor: FieldDescriptor) -> FieldValue:
+    """prod_{i=1}^{d} (i-1)! (m+n-d-i)! / ((m-i)! (n-i)!): s_d of
+    ((x-alpha)^m, (x-beta)^n) at alpha - beta = 1.  Its callers credit ops."""
+    return factorial_ratio([range(d), range(m + n - 2 * d, m + n - d)],
+                           [range(m - d, m), range(n - d, n)], descriptor)
+
+
+def _product_tree(factors: list) -> int:
+    """Product of the list by pairwise rounds, so that the big
+    multiplications meet operands of similar size."""
+    while len(factors) > 1:
+        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0] if factors else 1
+
+
 def _credit_ratio_chain(falling: int, small: int, steps: int, seed_divs: int = 0) -> None:
     """Credit the op count of a factorial_ratio seed, on both fields: the
-    tally of the ratio chain it stands for, whose seed is
-    falling_product(falling, falling) * binomial (min argument `small`)
-    with `seed_divs` more divisions, followed by `steps` updates
+    tally of the FieldValue ratio chain it stands for, seeded at
+    jacobi.falling_product(falling, falling) * jacobi.binomial (min argument
+    `small`) with `seed_divs` more divisions, followed by `steps` updates
     r = r * num / den, product = product * r."""
     credit_ops(muls=max(falling - 1, 0) + small + 1 + 2 * steps,
                divs=small + seed_divs + steps)
+
+
+def _ratio_chain(first: int, factors, p: int) -> list:
+    """[c_0, ..., c_k], c_0 = first and c_j = c_{j-1} num_j / den_j for the
+    k pairs (num_j, den_j) of factors: by exact // when p = 0; over F_p
+    (every den_j a unit) by running products, one inverse of the last
+    denominator product E_k, and the walk back 1/E_{j-1} = den_j / E_j."""
+    out = [first]
+    if not p:
+        for num, den in factors:
+            first = first * num // den
+            out.append(first)
+        return out
+    dens, scale = [], 1
+    for num, den in factors:
+        out.append(out[-1] * num % p)
+        scale = scale * den % p
+        dens.append(den)
+    inverse = pow(scale, -1, p)
+    for j in range(len(dens), 0, -1):
+        out[j] = out[j] * inverse % p
+        inverse = inverse * dens[j - 1] % p
+    return out
 
 
 def leading_coefficient_sd(spec: ProblemSpec) -> FieldValue:
@@ -297,10 +429,8 @@ def sres_bernstein(spec: ProblemSpec) -> SubresResult:
 
         c_j = c_{j-1} (d-j+1)(n-d+j-1) / (j (m-j)).
 
-    The c_j chain runs on Python ints, crediting the op count of a
-    FieldValue chain: exact // over Q; over F_p running products of the
-    numerators and of the denominators j(m-j), with one inverse, of the
-    last denominator product, for the whole chain.
+    The c_j chain is one _ratio_chain, credited with the op count of a
+    FieldValue chain: exact // over Q, one inverse over F_p.
     O(min(m, n) + d + log(mn)) operations.  Generic case only.
     """
     with count_ops() as counter:
@@ -317,25 +447,9 @@ def sres_bernstein(spec: ProblemSpec) -> SubresResult:
             _credit_ratio_chain(d - 1, min(m - d - 1, n - d), d - 1)
             c = principal_ratio(m - 1, n, d, descriptor).payload.numerator
             credit_ops(muls=d, divs=d)
-            p = descriptor.characteristic
-            out = [c]
-            if p:
-                # out[j] = c_0 N_j and scale = E_d, for N_j and E_j the
-                # products of the numerators and denominators up to j; one
-                # inverse of E_d, then 1/E_{j-1} = j (m-j) / E_j going back
-                scale = 1
-                for j in range(1, d + 1):
-                    out.append(out[-1] * ((d - j + 1) * (n - d + j - 1)) % p)
-                    scale = scale * (j * (m - j)) % p
-                inverse = pow(scale, -1, p)
-                for j in range(d, 0, -1):
-                    out[j] = out[j] * inverse % p
-                    inverse = inverse * (j * (m - j)) % p
-            else:
-                for j in range(1, d + 1):
-                    c = c * ((d - j + 1) * (n - d + j - 1)) // (j * (m - j))
-                    out.append(c)
-            coeffs = descriptor.from_ints(out)
+            coeffs = descriptor.from_ints(_ratio_chain(
+                c, (((d - j + 1) * (n - d + j - 1), j * (m - j)) for j in range(1, d + 1)),
+                descriptor.characteristic))
     return SubresResult(
         spec=spec,
         basis=Basis.BERNSTEIN,

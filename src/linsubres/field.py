@@ -18,10 +18,10 @@ from itertools import repeat
 from typing import Iterator, Union
 
 from .errors import (
-    CharacteristicError,
     DivisionByZero,
     FieldMismatch,
     InvalidModulus,
+    PreconditionError,
 )
 
 __all__ = [
@@ -156,6 +156,26 @@ def _int_digit_cap() -> int:
     return getter() if getter else 0
 
 
+def _parse_rational(text: str) -> Fraction:
+    """Fraction(text), refusing, as int(text) does, a numerator or
+    denominator past the int-to-str digit cap while there is one.  An
+    exponent form ("1e5000") above cap + len(text) is refused before its
+    power of ten is built: no value it gives but zero fits the cap."""
+    cap = _int_digit_cap()
+    if cap:
+        _, mark, exponent = text.strip().lower().partition("e")
+        if mark and abs(int(exponent)) > cap + len(text):
+            raise PreconditionError(f"an exponent past the {cap}-digit input limit")
+    value = Fraction(text)
+    if cap:
+        big = max(abs(value.numerator), value.denominator)
+        # a b-bit big is below 2^b <= 10^cap while 10 b <= 33 cap
+        if big.bit_length() * 10 > cap * 33 and big >= 10**cap:
+            raise PreconditionError(
+                f"a numerator or denominator past the {cap}-digit input limit")
+    return value
+
+
 class FieldDescriptor:
     """A concrete coefficient field: the rationals or F_p for prime p < 2**64."""
 
@@ -192,7 +212,7 @@ class FieldDescriptor:
         """Canonical injection of an int, Fraction, decimal string, or
         "a/b" string; over F_p a rational is a * b^-1, and a b divisible by
         p raises DivisionByZero.  Idempotent on FieldValues of this same
-        field."""
+        field.  Strings are held to the int-to-str digit cap."""
         if isinstance(value, FieldValue):
             if value.descriptor != self:
                 raise FieldMismatch(f"value from {value.descriptor} injected into {self}")
@@ -200,8 +220,10 @@ class FieldDescriptor:
         if self.modulus is None:
             if isinstance(value, bool):
                 raise TypeError("bool is not a field element")
-            if isinstance(value, (int, str)):
+            if isinstance(value, int):
                 return FieldValue(self, Fraction(value))
+            if isinstance(value, str):
+                return FieldValue(self, _parse_rational(value))
             if isinstance(value, Fraction):
                 return FieldValue(self, value)
             raise TypeError(f"cannot inject {type(value).__name__} into Q")
@@ -225,34 +247,15 @@ class FieldDescriptor:
         return tuple(map(FieldValue, repeat(self), values))
 
     def from_str(self, text: str) -> "FieldValue":
-        """element(text.strip()), with a ValueError that names the text.
-
-        While the interpreter caps int-to-str digits, a rational whose
-        numerator or denominator has more digits than the cap is refused,
-        as int(text) refuses one.  Fraction's exponent form ("1e5000")
-        would otherwise build its power of ten by arithmetic, past the cap;
-        an exponent above cap + len(text) is refused before it is built,
-        since no value it gives but zero fits the cap.  F_p parses through
-        int() alone, which the cap already guards."""
-        cap = 0 if self.modulus else _int_digit_cap()
+        """element(text.strip()), with a ValueError that names the text,
+        and the limit when the value is past the digit cap."""
         try:
-            if cap:
-                _, mark, exponent = text.strip().lower().partition("e")
-                if mark and abs(int(exponent)) > cap + len(text):
-                    raise OverflowError(f"an exponent past the {cap}-digit input limit")
-            value = self.element(text.strip())
-            if cap:
-                big = max(abs(value.payload.numerator), value.payload.denominator)
-                # a b-bit big is below 2^b <= 10^cap while 10 b <= 33 cap
-                if big.bit_length() * 10 > cap * 33 and big >= 10**cap:
-                    raise OverflowError(
-                        f"a numerator or denominator past the {cap}-digit input limit")
-            return value
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            return self.element(text.strip())
+        except (ValueError, ZeroDivisionError) as exc:
             shown = repr(text)
             if len(text) > 40:
                 shown = f"{text[:40]!r}... ({len(text)} characters)"
-            reason = f": {exc}" if isinstance(exc, OverflowError) else ""
+            reason = f": {exc}" if isinstance(exc, PreconditionError) else ""
             raise ValueError(f"cannot parse {shown} as an element of {self}{reason}") from exc
 
     def spec_string(self) -> str:
@@ -432,16 +435,3 @@ def binary_pow_muls(exponent: int) -> int:
     floor(log2(e)) squarings and one fewer multiplication than e has set
     bits; the tally binary_pow credits."""
     return max(exponent.bit_length() - 1, 0) + max(bin(exponent).count("1") - 1, 0)
-
-
-def inject_nonzero(descriptor: FieldDescriptor, n: int, what: str) -> FieldValue:
-    """Inject the integer n, raising CharacteristicError if its image is zero.
-
-    Used before every division by an injected integer so a characteristic
-    mistake fails loudly instead of silently corrupting a result."""
-    v = descriptor.element(n)
-    if v.is_zero():
-        raise CharacteristicError(
-            f"{what} = {n} vanishes in characteristic {descriptor.characteristic}"
-        )
-    return v

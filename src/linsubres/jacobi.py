@@ -5,6 +5,9 @@ Two independent evaluation routes (terminating hypergeometric sum and
 iterated-derivative form) cross-check each other, shifted_jacobi gives the
 pair-basis form that subresultants of (x - alpha)^m and (x - beta)^n are
 multiples of, and hyp2f1_poly and verify_pade_identity check the Pade link.
+The reference combinatorics, binomial, pochhammer and falling_product,
+are counted FieldValue products: integer parameters stay in Z, and only
+the values that enter the arithmetic are injected into the field.
 """
 
 from __future__ import annotations
@@ -13,10 +16,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .combinat import binomial, pochhammer
 from .errors import CharacteristicError, CoincidentRoots, PreconditionError
 from .fastsubres import cofactors, expand_pair_basis, sres_fast
-from .field import FieldDescriptor, char_of, inject_nonzero
+from .field import FieldDescriptor, FieldValue, char_of
 from .poly import DensePoly, ProblemSpec, power_of_linear
 
 __all__ = [
@@ -26,6 +28,9 @@ __all__ = [
     "shifted_jacobi",
     "hyp2f1_poly",
     "verify_pade_identity",
+    "binomial",
+    "pochhammer",
+    "falling_product",
 ]
 
 
@@ -205,3 +210,74 @@ def verify_pade_identity(m: int, n: int, k: int, descriptor: FieldDescriptor) ->
         return False
     sign = descriptor.one if k % 2 == 0 else -descriptor.one
     return g_cof == denominator.scale(sign * lam)
+
+
+def binomial(k: int, l: int, descriptor: FieldDescriptor) -> FieldValue:
+    """Field image of the binomial coefficient C(k + l, k).
+
+    Runs the shorter of the two quotient products: min(k, l) steps of one
+    multiplication and one division, so at most 4 * min(k, l) + O(1) field
+    operations.  Every intermediate value is C(max(k, l) + i, i), itself the
+    image of an integer.  Requires characteristic 0 or > min(k, l); the
+    incremental divisions are by 1, ..., min(k, l).
+    """
+    if k < 0 or l < 0:
+        raise ValueError(f"binomial arguments must be nonnegative, got ({k}, {l})")
+    small, big = (k, l) if k <= l else (l, k)
+    p = descriptor.characteristic
+    if p and small >= p:
+        raise CharacteristicError(
+            f"binomial needs characteristic 0 or > min(k, l) = {small}, have {p}"
+        )
+    acc = descriptor.one
+    for i in range(1, small + 1):
+        acc = acc * descriptor.element(big + i)
+        acc = acc / descriptor.element(i)
+    return acc
+
+
+def pochhammer(a: FieldValue, j: int) -> FieldValue:
+    """Rising factorial (a)_j = a (a+1) ... (a+j-1); (a)_0 = 1.
+
+    Costs j - 1 multiplications and j - 1 increments for j >= 1.
+    """
+    if j < 0:
+        raise ValueError(f"pochhammer length must be nonnegative, got {j}")
+    descriptor = a.descriptor
+    if j == 0:
+        return descriptor.one
+    one = descriptor.one
+    acc = a
+    current = a
+    for _ in range(j - 1):
+        current = current + one
+        acc = acc * current
+    return acc
+
+
+def falling_product(top: int, count: int, descriptor: FieldDescriptor) -> FieldValue:
+    """Field image of top (top-1) ... (top-count+1); empty product is 1.
+
+    With top = count this is the factorial count!.
+    """
+    if count < 0:
+        raise ValueError(f"falling_product length must be nonnegative, got {count}")
+    if count == 0:
+        return descriptor.one
+    acc = descriptor.element(top)
+    for i in range(1, count):
+        acc = acc * descriptor.element(top - i)
+    return acc
+
+
+def inject_nonzero(descriptor: FieldDescriptor, n: int, what: str) -> FieldValue:
+    """Inject the integer n, raising CharacteristicError if its image is zero.
+
+    Used before every division by an injected integer so a characteristic
+    mistake fails loudly instead of silently corrupting a result."""
+    v = descriptor.element(n)
+    if v.is_zero():
+        raise CharacteristicError(
+            f"{what} = {n} vanishes in characteristic {descriptor.characteristic}"
+        )
+    return v

@@ -51,10 +51,6 @@ class DensePoly:
         return cls(descriptor, (descriptor.one,))
 
     @classmethod
-    def x(cls, descriptor: FieldDescriptor) -> "DensePoly":
-        return cls(descriptor, (descriptor.zero, descriptor.one))
-
-    @classmethod
     def constant(cls, value: FieldValue) -> "DensePoly":
         return cls(value.descriptor, (value,))
 

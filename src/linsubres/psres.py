@@ -6,7 +6,7 @@ O(min(m, n) + log(mn)) field operations.
 
 psres_all runs one downward chain on Python ints.  Over F_p, and over Q
 with an integer delta != 0, it starts at s_{low-1}, with c(low-1) from
-combinat.principal_ratio, and steps
+fastsubres.principal_ratio, and steps
 
     s_{i-1} = s_i // num(u_i) * delta^(m+n-2i+1) * den(u_i),  u_i = c(i)/c(i-1).
 
@@ -19,22 +19,23 @@ i = low - 1, and each step down multiplies them by exact ratios of small
 integers, as in C(N+2, K+1) = C(N, K) (N+1)(N+2) / ((K+1)(N-K+1)); at
 m + n ~ 900 that costs a tenth of a math.comb call.  num(u_i) divides
 c(i), which divides s_i, so the division is exact.  Over F_p
-(p >= m + n, so every factor of num(u_i) is a unit) u_i stays an
-unreduced pair of residues, and one inverse, of num(u_{low-1}), serves
-every step.  For a non-integer delta over Q the chain at delta = 1 gives
-the c(i), which a downward chain of Fraction powers multiplies by
-delta^((m-i)(n-i)).  alpha = beta gives zeros.  check.psres_schedule, the
-reference route the tests compare psres_all with, builds both chains
-index by index in FieldValue arithmetic; psres_all credits the active
-count_ops scopes with its op tally.
+(p >= m + n, so every factor of u_i is a unit) one
+fastsubres._ratio_chain, with one inverse, gives the 1/u_i from
+1/u_1 = 1/C(m+n-2, m-1) and u_{d+1} / u_d = d (m-d) (n-d) (m+n-d)
+/ ((k-1) k^2 (k+1)), k = m+n-2d.  For a non-integer delta over Q the
+chain at delta = 1 gives the c(i), which a downward chain of Fraction
+powers multiplies by delta^((m-i)(n-i)).  alpha = beta gives zeros.
+check.psres_schedule, the reference route the tests compare psres_all
+with, builds both chains index by index in FieldValue arithmetic;
+psres_all credits the active count_ops scopes with its op tally.
 """
 
 from __future__ import annotations
 
 from math import comb, gcd
 
-from .combinat import principal_ratio
 from .errors import CharacteristicError
+from .fastsubres import _ratio_chain, principal_ratio
 from .field import (
     FieldDescriptor,
     FieldValue,
@@ -106,23 +107,12 @@ def _downward(m: int, n: int, delta: int, p: int) -> list:
     delta_sq = delta * delta
     values = [0] * low
     if p:
-        # u_1 = C(m+n-2, m-1) and u_{d+1} = u_d v_d, v_d = a_d / b_d, with
-        # u_i = num_i / den_i unreduced, so one inverse, of num_top, serves
-        # every step down: 1/num_{i-1} = a_{i-1} / num_i
-        v = [(d * (m - d) * (n - d) * (m + n - d),
-              (m + n - 2 * d - 1) * (m + n - 2 * d) ** 2 * (m + n - 2 * d + 1))
-             for d in range(1, low - 1)]
-        num, dens = comb(m + n - 2, m - 1) % p, [1]
-        for a, b in v:
-            num = num * a % p
-            dens.append(dens[-1] * b % p)
-        inverse = pow(num, -1, p)
+        inverse_u = _ratio_chain(1, _inverse_u_factors(m, n, top), p)
         values[top] = s = s % p
         for i in range(top, 0, -1):
-            s = s * dens[i - 1] % p * inverse % p * step % p
+            s = s * inverse_u[i] % p * step % p
             values[i - 1] = s
             step = step * delta_sq % p
-            inverse = inverse * ((i - 1) * (m - i + 1) * (n - i + 1) * (m + n - i + 1)) % p
     else:
         # u_i = a / b, a = C(m+n-2i, m-i) and b = C(m+n-i, i-1), each
         # stepped from i to i - 1 by its exact integer ratio
@@ -139,3 +129,13 @@ def _downward(m: int, n: int, delta: int, p: int) -> list:
             b = b * ((m + n - i + 1) * (i - 1)) // ((k + 2) * (k + 3))
     _credit_schedule(m, n)
     return values
+
+
+def _inverse_u_factors(m: int, n: int, top: int):
+    """The (num, den) steps of the chain 1, 1/u_1, ..., 1/u_top: the
+    first is 1/C(m+n-2, m-1), the others u_d / u_{d+1}."""
+    if top:
+        yield 1, comb(m + n - 2, m - 1)
+    for d in range(1, top):
+        k = m + n - 2 * d
+        yield (k - 1) * k * k * (k + 1), d * (m - d) * (n - d) * (m + n - d)

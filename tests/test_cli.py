@@ -1,6 +1,7 @@
 """CLI contract: JSON payloads, CSV schema, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -377,3 +378,38 @@ def test_negative_values_after_a_space(capsys, head):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
     assert json.loads(outputs[0])["alpha"] in ("-5/2", str(prime_field(101).from_str("-5/2")))
+
+
+SWEEP_SHA256 = "e1a910fde07d3266073726a1d82685b677c57cd36775718831abc9009f838ae7"
+
+
+def sweep_argv():
+    """A fixed sweep of requests: compute on both bases and with
+    --cofactors, and psres, over Q with integer and rational roots and over
+    F_p in the generic, boundary and vanishing cases (and below max(m, n),
+    which exits 3), d = 0 included."""
+    roots = [("q", "1", "2"), ("q", "3", "-2"), ("q", "-7/9", "5/8"),
+             ("fp:7", "1", "3"), ("fp:41", "2", "-5"), ("fp:1000003", "5", "-123456")]
+    sizes = [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(40, 33), (33, 40)]
+    for field, alpha, beta in roots:
+        common = [f"--alpha={alpha}", f"--beta={beta}", f"--field={field}"]
+        for m, n in sizes:
+            head = [f"--m={m}", f"--n={n}"]
+            yield ["psres", *head, *common]
+            for d in range(min(m, n)):
+                for extra in ([], ["--basis=bernstein"], ["--cofactors"]):
+                    yield ["compute", *head, f"--d={d}", *common, *extra]
+
+
+def test_cli_sweep_is_byte_identical(capsys):
+    """Every request of the sweep prints the same bytes and exits with the
+    same code as when SWEEP_SHA256 was recorded: refactors of the kernels
+    must not move an output."""
+    digest, codes = hashlib.sha256(), set()
+    for argv in sweep_argv():
+        code = main(argv)
+        out = capsys.readouterr().out
+        codes.add(code)
+        digest.update(f"{' '.join(argv)}\0{code}\0{out}\0".encode())
+    assert codes == {0, 3}
+    assert digest.hexdigest() == SWEEP_SHA256

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linsubres.combinat import binomial, falling_product, pochhammer
+from linsubres.jacobi import binomial, falling_product, pochhammer
 from linsubres.errors import CharacteristicError
 from linsubres.field import count_ops, prime_field, rationals
 

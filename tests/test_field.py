@@ -1,6 +1,7 @@
 """Field arithmetic, canonical forms, and operation counting."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,18 @@ def test_rationals_inject_into_prime_fields():
         F7.from_str("1/7")
     with pytest.raises(ValueError):
         F7.from_str("1/" + "7" * 5000)
+
+
+def test_element_holds_strings_to_the_int_str_limit():
+    """element refuses a Q string past the digit cap, as from_str does,
+    before building its power of ten."""
+    cap = sys.get_int_max_str_digits()
+    for text in ("1e5000", "1e-5000"):
+        with pytest.raises(ValueError, match=f"{cap}-digit input limit"):
+            Q.element(text)
+        with pytest.raises(ValueError, match=f"cannot parse '{text}'.*{cap}-digit input limit"):
+            Q.from_str(text)
+    assert Q.element(f"1e{cap - 1}") == Q.element(10 ** (cap - 1))
 
 
 def test_parse_errors_quote_a_bounded_prefix():

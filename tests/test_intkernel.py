@@ -19,12 +19,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from linsubres.check import psres_oracle, psres_schedule, sres_oracle
-from linsubres.combinat import factorial_ratio
 from linsubres.errors import CharacteristicError
 from linsubres.fastsubres import (
     _credit_ratio_chain,
     cofactors,
     expand_pair_basis,
+    factorial_ratio,
     leading_coefficient_sd,
     pair_basis_coeffs,
     sres_bernstein,
@@ -33,11 +33,11 @@ from linsubres.fastsubres import (
 from linsubres.field import (
     binary_pow,
     count_ops,
-    inject_nonzero,
     parse_field_spec,
     prime_field,
     rationals,
 )
+from linsubres.jacobi import inject_nonzero
 from linsubres.poly import ProblemSpec, power_of_linear
 from linsubres.psres import psres_all
 
