@@ -269,8 +269,7 @@ def _ratio_chain(first: int, factors, p: int) -> list:
     out = [first]
     if not p:
         for num, den in factors:
-            first = first * num // den
-            out.append(first)
+            out.append(out[-1] * num // den)
         return out
     dens, scale = [], 1
     for num, den in factors:
