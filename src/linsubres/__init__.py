@@ -24,8 +24,8 @@ _SOURCES = {
                       "classify cofactors expand_pair_basis factorial_ratio "
                       "leading_coefficient_sd pair_basis_coeffs result_from_json "
                       "result_to_json sres_bernstein sres_fast",
-        "field": "FieldDescriptor FieldKind FieldValue OpCounter binary_pow char_of "
-                 "count_ops parse_field_spec prime_field rationals",
+        "field": "FieldDescriptor FieldValue OpCounter binary_pow count_ops "
+                 "parse_field_spec prime_field rationals",
         "jacobi": "JacobiParams binomial falling_product hyp2f1_poly "
                   "jacobi_hypergeometric jacobi_rodrigues pochhammer shifted_jacobi "
                   "verify_pade_identity",

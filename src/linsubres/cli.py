@@ -38,6 +38,12 @@ def _parse_int_list(text: str, what: str):
     return values
 
 
+def _roots(args):
+    """(field, alpha, beta) of the --field, --alpha and --beta options."""
+    descriptor = parse_field_spec(args.field)
+    return descriptor, descriptor.from_str(args.alpha), descriptor.from_str(args.beta)
+
+
 @contextmanager
 def uncapped_int_str():
     """Lift the interpreter's int-to-str digit cap for the block.
@@ -58,9 +64,7 @@ def uncapped_int_str():
 
 
 def cmd_compute(args) -> int:
-    descriptor = parse_field_spec(args.field)
-    alpha = descriptor.from_str(args.alpha)
-    beta = descriptor.from_str(args.beta)
+    _, alpha, beta = _roots(args)
     spec = ProblemSpec(args.m, args.n, args.d, alpha, beta)
     if args.basis == "bernstein":
         result = sres_bernstein(spec)
@@ -78,9 +82,7 @@ def cmd_compute(args) -> int:
 def cmd_psres(args) -> int:
     from .psres import psres_all
 
-    descriptor = parse_field_spec(args.field)
-    alpha = descriptor.from_str(args.alpha)
-    beta = descriptor.from_str(args.beta)
+    descriptor, alpha, beta = _roots(args)
     with count_ops() as counter:
         values = psres_all(args.m, args.n, alpha, beta)
     with uncapped_int_str():
@@ -125,9 +127,7 @@ def cmd_bench(args) -> int:
             f"bad algorithm list {args.algorithms!r}; "
             f"choose from {', '.join(BENCH_ALGORITHMS)}"
         )
-    descriptor = parse_field_spec(args.field)
-    alpha = descriptor.from_str(args.alpha)
-    beta = descriptor.from_str(args.beta)
+    descriptor, alpha, beta = _roots(args)
     if alpha == beta:
         raise ValueError(f"bench needs distinct roots, have alpha = beta = {alpha}")
     rows = run_bench(sizes, descriptor, args.oracle_cutoff, algorithms, alpha, beta)

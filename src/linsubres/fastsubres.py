@@ -34,7 +34,6 @@ from .field import (
     FieldValue,
     OpCounter,
     binary_pow,
-    char_of,
     count_ops,
     credit_ops,
     parse_field_spec,
@@ -112,7 +111,7 @@ def classify(spec: ProblemSpec) -> CharCase:
     The case picks sres_fast's branch and gates sres_bernstein; cofactors
     and leading_coefficient_sd run one formula in every supported case.
     """
-    p = char_of(spec.descriptor)
+    p = spec.descriptor.characteristic
     m, n, d = spec.m, spec.n, spec.d
     if p == 0 or p >= m + n - d:
         return CharCase.GENERIC_LARGE
@@ -123,30 +122,28 @@ def classify(spec: ProblemSpec) -> CharCase:
     return CharCase.UNSUPPORTED
 
 
-def _require_supported(spec: ProblemSpec, case: CharCase) -> None:
+def _checked_case(spec: ProblemSpec, generic_for: str = "") -> CharCase:
+    """classify(spec) for an entry point: raises UnsupportedCase, then,
+    when generic_for names a route that needs the generic case,
+    CharacteristicError, then CoincidentRoots."""
+    case = classify(spec)
+    p = spec.descriptor.characteristic
     if case is CharCase.UNSUPPORTED:
         raise UnsupportedCase(
-            f"characteristic {char_of(spec.descriptor)} is positive and below "
-            f"max(m, n) = {max(spec.m, spec.n)}: no supported hypothesis applies "
-            f"(need char = 0 or char >= max(m, n))"
+            f"characteristic {p} is positive and below max(m, n) = {max(spec.m, spec.n)}: "
+            f"no supported hypothesis applies (need char = 0 or char >= max(m, n))"
         )
-
-
-def _require_distinct(spec: ProblemSpec) -> None:
+    if generic_for and case is not CharCase.GENERIC_LARGE:
+        raise CharacteristicError(
+            f"{generic_for} needs char = 0 or char >= m+n-d = {spec.m + spec.n - spec.d}, "
+            f"have {p} (case {case.value})"
+        )
     if spec.alpha == spec.beta:
         raise CoincidentRoots(
             f"alpha = beta = {spec.alpha} makes the pair degenerate; "
             f"the structured formulas need distinct roots"
         )
-
-
-def _require_generic(spec: ProblemSpec, case: CharCase, what: str) -> None:
-    if case is not CharCase.GENERIC_LARGE:
-        _require_supported(spec, case)
-        raise CharacteristicError(
-            f"{what} needs char = 0 or char >= m+n-d = {spec.m + spec.n - spec.d}, "
-            f"have {char_of(spec.descriptor)} (case {case.value})"
-        )
+    return case
 
 
 def factorial_ratio(numerator, denominator, descriptor: FieldDescriptor) -> FieldValue:
@@ -299,8 +296,7 @@ def leading_coefficient_sd(spec: ProblemSpec) -> FieldValue:
     numerator (m+n-d-1)! contains p, so s_d = 0 in the boundary and
     vanishing cases; s_0 = delta^(mn) always.
     """
-    _require_supported(spec, classify(spec))
-    _require_distinct(spec)
+    _checked_case(spec)
     m, n, d = spec.m, spec.n, spec.d
     power = binary_pow(spec.alpha - spec.beta, (m - d) * (n - d))
     if d == 0:
@@ -376,9 +372,7 @@ def sres_fast(spec: ProblemSpec) -> SubresResult:
     The op count is that of the recurrence in field arithmetic.
     """
     with count_ops() as counter:
-        case = classify(spec)
-        _require_supported(spec, case)
-        _require_distinct(spec)
+        case = _checked_case(spec)
         descriptor = spec.descriptor
         m, n, d = spec.m, spec.n, spec.d
         if case is CharCase.VANISHING_BAND:
@@ -433,9 +427,7 @@ def sres_bernstein(spec: ProblemSpec) -> SubresResult:
     O(min(m, n) + d + log(mn)) operations.  Generic case only.
     """
     with count_ops() as counter:
-        case = classify(spec)
-        _require_generic(spec, case, "the pair-basis expansion")
-        _require_distinct(spec)
+        case = _checked_case(spec, generic_for="the pair-basis expansion")
         descriptor = spec.descriptor
         m, n, d = spec.m, spec.n, spec.d
         delta = spec.alpha - spec.beta
@@ -535,9 +527,7 @@ def cofactors(spec: ProblemSpec) -> CofactorPair:
     formula reduced mod p is the determinantal answer.  In the vanishing
     band (m+n-d-2)! contains p and T = 0, so F = G = 0.
     """
-    case = classify(spec)
-    _require_supported(spec, case)
-    _require_distinct(spec)
+    case = _checked_case(spec)
     descriptor = spec.descriptor
     m, n, d = spec.m, spec.n, spec.d
     delta = spec.alpha - spec.beta

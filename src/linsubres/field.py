@@ -9,7 +9,6 @@ inside the cubic-cost determinant oracle.
 
 from __future__ import annotations
 
-import enum
 import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -25,7 +24,6 @@ from .errors import (
 )
 
 __all__ = [
-    "FieldKind",
     "FieldDescriptor",
     "FieldValue",
     "OpCounter",
@@ -33,16 +31,10 @@ __all__ = [
     "binary_pow",
     "binary_pow_muls",
     "credit_ops",
-    "char_of",
     "rationals",
     "prime_field",
     "parse_field_spec",
 ]
-
-
-class FieldKind(enum.Enum):
-    RATIONALS = "q"
-    PRIME = "fp"
 
 
 # Witness set proving primality for every integer below 3.3 * 10**24,
@@ -157,10 +149,11 @@ def _int_digit_cap() -> int:
 
 
 def _parse_rational(text: str) -> Fraction:
-    """Fraction(text), refusing, as int(text) does, a numerator or
-    denominator past the int-to-str digit cap while there is one.  An
-    exponent form ("1e5000") above cap + len(text) is refused before its
-    power of ten is built: no value it gives but zero fits the cap."""
+    """Fraction(text), the string reader of both fields, refusing, as
+    int(text) does, a numerator or denominator past the int-to-str digit
+    cap while there is one.  An exponent form ("1e5000") above cap +
+    len(text) is refused before its power of ten is built: no value it
+    gives but zero fits the cap."""
     cap = _int_digit_cap()
     if cap:
         _, mark, exponent = text.strip().lower().partition("e")
@@ -177,21 +170,19 @@ def _parse_rational(text: str) -> Fraction:
 
 
 class FieldDescriptor:
-    """A concrete coefficient field: the rationals or F_p for prime p < 2**64."""
+    """A concrete coefficient field, named by its modulus: None for the
+    rationals, a prime p < 2**64 for F_p."""
 
-    __slots__ = ("kind", "modulus", "_zero", "_one")
+    __slots__ = ("modulus", "_zero", "_one")
 
-    def __init__(self, kind: FieldKind, modulus: int | None = None):
-        if kind is FieldKind.PRIME:
+    def __init__(self, modulus: int | None = None):
+        if modulus is not None:
             if not isinstance(modulus, int) or modulus < 2:
                 raise InvalidModulus(f"modulus must be an integer >= 2, got {modulus!r}")
             if modulus >= 2**64:
                 raise InvalidModulus(f"modulus {modulus} is >= 2**64")
             if not _is_prime(modulus):
                 raise InvalidModulus(f"modulus {modulus} is not prime")
-        elif modulus is not None:
-            raise InvalidModulus("the rationals take no modulus")
-        self.kind = kind
         self.modulus = modulus
         self._zero = FieldValue(self, 0 if modulus else Fraction(0))
         self._one = FieldValue(self, 1 if modulus else Fraction(1))
@@ -209,35 +200,30 @@ class FieldDescriptor:
         return self._one
 
     def element(self, value) -> "FieldValue":
-        """Canonical injection of an int, Fraction, decimal string, or
-        "a/b" string; over F_p a rational is a * b^-1, and a b divisible by
-        p raises DivisionByZero.  Idempotent on FieldValues of this same
-        field.  Strings are held to the int-to-str digit cap."""
+        """Canonical injection of an int, a Fraction or a string.  Every
+        string is read by _parse_rational, so both fields take the same
+        forms ("3", "-5/2", "2.5", "1e5", with sign, spaces and
+        underscores) under the same int-to-str digit cap.  Over F_p a
+        rational a/b is a * b^-1, and a b divisible by p raises
+        DivisionByZero.  Idempotent on FieldValues of this same field."""
         if isinstance(value, FieldValue):
             if value.descriptor != self:
                 raise FieldMismatch(f"value from {value.descriptor} injected into {self}")
             return value
-        if self.modulus is None:
-            if isinstance(value, bool):
-                raise TypeError("bool is not a field element")
-            if isinstance(value, int):
-                return FieldValue(self, Fraction(value))
-            if isinstance(value, str):
-                return FieldValue(self, _parse_rational(value))
-            if isinstance(value, Fraction):
-                return FieldValue(self, value)
-            raise TypeError(f"cannot inject {type(value).__name__} into Q")
         if isinstance(value, bool):
             raise TypeError("bool is not a field element")
         if isinstance(value, str):
-            value = Fraction(value) if "/" in value else int(value, 10)
-        if isinstance(value, Fraction):
-            if value.denominator % self.modulus == 0:
-                raise DivisionByZero(f"denominator divisible by {self.modulus}")
-            value = value.numerator * pow(value.denominator, -1, self.modulus)
+            value = _parse_rational(value)
+        p = self.modulus
         if isinstance(value, int):
-            return FieldValue(self, value % self.modulus)
-        raise TypeError(f"cannot inject {type(value).__name__} into F_{self.modulus}")
+            return FieldValue(self, Fraction(value) if p is None else value % p)
+        if not isinstance(value, Fraction):
+            raise TypeError(f"cannot inject {type(value).__name__} into {self}")
+        if p is None:
+            return FieldValue(self, value)
+        if value.denominator % p == 0:
+            raise DivisionByZero(f"denominator divisible by {p}")
+        return FieldValue(self, value.numerator * pow(value.denominator, -1, p) % p)
 
     def from_ints(self, values) -> tuple:
         """Wrap canonical payloads, unchecked: integers over Q, residues
@@ -259,17 +245,15 @@ class FieldDescriptor:
             raise ValueError(f"cannot parse {shown} as an element of {self}{reason}") from exc
 
     def spec_string(self) -> str:
-        if self.modulus is None:
-            return "q"
-        return f"fp:{self.modulus}"
+        return "q" if self.modulus is None else f"fp:{self.modulus}"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldDescriptor):
             return NotImplemented
-        return self.kind is other.kind and self.modulus == other.modulus
+        return self.modulus == other.modulus
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.modulus))
+        return hash(self.modulus)
 
     def __repr__(self) -> str:
         return f"FieldDescriptor({self.spec_string()!r})"
@@ -372,7 +356,7 @@ class FieldValue:
         return f"<{self.payload} in {self.descriptor.spec_string()}>"
 
 
-_RATIONALS = FieldDescriptor(FieldKind.RATIONALS)
+_RATIONALS = FieldDescriptor()
 _PRIME_CACHE: dict = {}
 
 
@@ -383,14 +367,9 @@ def rationals() -> FieldDescriptor:
 def prime_field(p: int) -> FieldDescriptor:
     desc = _PRIME_CACHE.get(p)
     if desc is None:
-        desc = FieldDescriptor(FieldKind.PRIME, p)
+        desc = FieldDescriptor(p)
         _PRIME_CACHE[p] = desc
     return desc
-
-
-def char_of(descriptor: FieldDescriptor) -> int:
-    """0 for Q, p for F_p."""
-    return descriptor.characteristic
 
 
 def parse_field_spec(text: str) -> FieldDescriptor:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import CharacteristicError, CoincidentRoots, PreconditionError
 from .fastsubres import cofactors, expand_pair_basis, sres_fast
-from .field import FieldDescriptor, FieldValue, char_of
+from .field import FieldDescriptor, FieldValue
 from .poly import DensePoly, ProblemSpec, power_of_linear
 
 __all__ = [
@@ -57,7 +57,7 @@ def jacobi_hypergeometric(params: JacobiParams, descriptor: FieldDescriptor) -> 
     (divisions by j! and (r-j)!).
     """
     r, k, l = params.r, params.k, params.l
-    p = char_of(descriptor)
+    p = descriptor.characteristic
     if p == 2:
         raise CharacteristicError("jacobi_hypergeometric needs characteristic != 2")
     if p and r >= p:
@@ -101,7 +101,7 @@ def jacobi_rodrigues(params: JacobiParams, descriptor: FieldDescriptor) -> Dense
     (final division by 2^r r!).
     """
     r, k, l = params.r, params.k, params.l
-    if char_of(descriptor) != 0:
+    if descriptor.characteristic != 0:
         raise CharacteristicError("jacobi_rodrigues needs characteristic 0")
     a = k + r
     b = l + r
@@ -129,7 +129,7 @@ def shifted_jacobi(spec: ProblemSpec) -> DensePoly:
     descriptor = spec.descriptor
     if spec.alpha == spec.beta:
         raise CoincidentRoots("shifted_jacobi needs alpha != beta")
-    p = char_of(descriptor)
+    p = descriptor.characteristic
     if p and p < m + n - d:
         raise CharacteristicError(
             f"shifted_jacobi needs characteristic 0 or >= m+n-d = {m + n - d}, have {p}"
@@ -184,7 +184,7 @@ def verify_pade_identity(m: int, n: int, k: int, descriptor: FieldDescriptor) ->
     For k = m the pair is degenerate (d equals deg g); the defining minors
     then have no f-rows and give Sres_m = (x-1)^m with cofactors (0, 1).
     """
-    if char_of(descriptor) != 0:
+    if descriptor.characteristic != 0:
         raise CharacteristicError("verify_pade_identity needs characteristic 0")
     if m < 1 or n < 1:
         raise PreconditionError(f"need m, n >= 1, got ({m}, {n})")

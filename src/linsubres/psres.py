@@ -40,7 +40,6 @@ from .field import (
     FieldDescriptor,
     FieldValue,
     binary_pow_muls,
-    char_of,
     credit_ops,
     prime_field,
     rationals,
@@ -53,7 +52,7 @@ __all__ = ["psres_all"]
 def _check_args(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> FieldDescriptor:
     """ProblemSpec's checks at d = 0, and p = 0 or p >= m + n."""
     descriptor = ProblemSpec(m, n, 0, alpha, beta).descriptor
-    p = char_of(descriptor)
+    p = descriptor.characteristic
     if p and p < m + n:
         raise CharacteristicError(
             f"the principal subresultant schedule needs characteristic 0 "

@@ -354,6 +354,17 @@ def test_rational_roots_over_a_prime_field(capsys):
                  "--field=fp:101"]) == 2
 
 
+def test_prime_fields_read_the_rational_forms(capsys):
+    """--alpha=1.5 over F_p is --alpha=3/2, and the exponent form is held
+    to the digit cap over F_p as over Q."""
+    head = ["compute", "--m=4", "--n=3", "--d=2", "--beta=2", "--field=fp:101"]
+    assert run_json(capsys, head + ["--alpha=1.5"]) == run_json(capsys, head + ["--alpha=3/2"])
+    cap = sys.get_int_max_str_digits()
+    assert main(head + [f"--alpha=1e{cap}"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse" in err and f"{cap}-digit input limit" in err
+
+
 def test_python_dash_m_linsubres():
     proc = subprocess.run(
         [sys.executable, "-m", "linsubres", "compute", "--m", "2", "--n", "2", "--d", "1",

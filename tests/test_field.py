@@ -18,7 +18,6 @@ from linsubres.field import (
     OpCounter,
     binary_pow,
     binary_pow_muls,
-    char_of,
     count_ops,
     parse_field_spec,
     prime_field,
@@ -80,10 +79,10 @@ def test_modulus_validation():
     prime_field(2**61 - 1)  # Mersenne prime inside the range
 
 
-def test_char_of():
-    assert char_of(Q) == 0
-    assert char_of(F7) == 7
-    assert char_of(prime_field(10007)) == 10007
+def test_characteristic():
+    assert Q.characteristic == 0
+    assert F7.characteristic == 7
+    assert prime_field(10007).characteristic == 10007
 
 
 def test_parse_field_spec_round_trip():
@@ -128,6 +127,59 @@ def test_element_holds_strings_to_the_int_str_limit():
         with pytest.raises(ValueError, match=f"cannot parse '{text}'.*{cap}-digit input limit"):
             Q.from_str(text)
     assert Q.element(f"1e{cap - 1}") == Q.element(10 ** (cap - 1))
+
+
+def _digits(draw, value: int) -> str:
+    """value's decimal digits, with underscores drawn into some gaps; a
+    leading, trailing or doubled underscore now and then, which no field
+    accepts."""
+    text = str(value)
+    out = text[0]
+    for digit in text[1:]:
+        out += draw(st.sampled_from(["", "", "", "_"])) + digit
+    return draw(st.sampled_from([out] * 6 + [f"_{out}", f"{out}_", out.replace("_", "__")]))
+
+
+@st.composite
+def rational_texts(draw):
+    """Strings in the forms Fraction reads, "a/b", "a.b" and "a.be-c",
+    padded and signed, and short junk over the same alphabet."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(alphabet="0123456789_+-./eE \t", max_size=10))
+    whole = draw(st.integers(0, 10**30))
+    form = draw(st.sampled_from(["integer", "ratio", "decimal", "exponent"]))
+    body = _digits(draw, whole)
+    if form == "ratio":
+        body += "/" + _digits(draw, draw(st.integers(0, 10**20)))
+    if form in ("decimal", "exponent") and draw(st.booleans()):
+        body += "." + _digits(draw, draw(st.integers(0, 10**12)))
+    if form == "exponent":
+        exponent = draw(st.one_of(st.integers(-40, 40), st.integers(4250, 4350),
+                                  st.integers(-4350, -4250)))
+        body += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+"])) + str(exponent)
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    return draw(pad) + sign + body + draw(pad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=rational_texts(), p=st.sampled_from([2, 7, 101, 1000003, 2**61 - 1]))
+def test_prime_fields_read_the_strings_the_rationals_read(text, p):
+    """F_p accepts exactly the strings Q accepts, as Q's value mod p,
+    except that a denominator divisible by p raises DivisionByZero."""
+    F = prime_field(p)
+    try:
+        value = Q.from_str(text).payload
+    except ValueError:
+        with pytest.raises(ValueError):
+            F.from_str(text)
+        return
+    if value.denominator % p == 0:
+        with pytest.raises(ValueError) as excinfo:
+            F.from_str(text)
+        assert isinstance(excinfo.value.__cause__, DivisionByZero)
+        return
+    assert F.from_str(text).payload == value.numerator * pow(value.denominator, -1, p) % p
 
 
 def test_parse_errors_quote_a_bounded_prefix():
