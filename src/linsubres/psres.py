@@ -36,14 +36,7 @@ from math import comb, gcd
 
 from .errors import CharacteristicError
 from .fastsubres import _ratio_chain, principal_ratio
-from .field import (
-    FieldDescriptor,
-    FieldValue,
-    binary_pow_muls,
-    credit_ops,
-    prime_field,
-    rationals,
-)
+from .field import FieldDescriptor, FieldValue, binary_pow_muls, credit_ops
 from .poly import ProblemSpec
 
 __all__ = ["psres_all"]
@@ -69,8 +62,8 @@ def psres_all(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> list:
         return [descriptor.zero] * min(m, n)
     if delta.denominator == 1:
         return list(descriptor.from_ints(
-            _downward(m, n, delta.numerator, descriptor.characteristic)))
-    c = _downward(m, n, 1, 0)
+            _downward(m, n, delta.numerator, descriptor)))
+    c = _downward(m, n, 1, descriptor)
     top = len(c) - 1
     h, step = delta ** ((m - top) * (n - top)), delta ** (m + n - 2 * top + 1)
     values = [FieldValue(descriptor, c[top] * h)]
@@ -95,12 +88,13 @@ def _credit_schedule(m: int, n: int) -> None:
     credit_ops(adds=1, muls=muls, divs=divs)
 
 
-def _downward(m: int, n: int, delta: int, p: int) -> list:
+def _downward(m: int, n: int, delta: int, descriptor: FieldDescriptor) -> list:
     """The principal subresultants for delta != 0 by the downward chain of
-    the module docstring, on integers (p = 0) or residues mod p >= m + n."""
+    the module docstring, on integers over Q or residues mod p >= m + n."""
+    p = descriptor.characteristic
     low = min(m, n)
     top = low - 1
-    s = principal_ratio(m, n, top, prime_field(p) if p else rationals()).payload.numerator
+    s = principal_ratio(m, n, top, descriptor).payload.numerator
     s *= pow(delta, (m - top) * (n - top), p or None)
     step = pow(delta, m + n - 2 * top + 1, p or None)
     delta_sq = delta * delta

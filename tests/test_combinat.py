@@ -1,4 +1,5 @@
-"""Combinatorial field images against integer ground truth."""
+"""The reference combinatorics in linsubres.jacobi (binomial, pochhammer,
+falling_product) against integer ground truth."""
 
 import math
 

@@ -343,6 +343,12 @@ def _factorial_quotient(numerator, denominator) -> Fraction:
 
 @settings(max_examples=200, deadline=None)
 @given(numerator=st.lists(_RANGE, max_size=4), denominator=st.lists(_RANGE, max_size=4))
+# largest range stop 121 = 11^2 and 961 = 31^2, and one past each, where
+# the sieve bound isqrt(stop - 1) decides whether q^2 is crossed out
+@example(numerator=[range(116, 121)], denominator=[range(3, 9)])
+@example(numerator=[range(2, 7)], denominator=[range(118, 122)])
+@example(numerator=[range(954, 961)], denominator=[range(940, 947)])
+@example(numerator=[range(940, 946)], denominator=[range(957, 962), range(30, 33)])
 def test_factorial_ratio_matches_math_factorial(numerator, denominator):
     expected = _factorial_quotient(numerator, denominator)
     assert factorial_ratio(numerator, denominator, Q).payload == expected
@@ -354,13 +360,18 @@ _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 1
 @settings(max_examples=200, deadline=None)
 @given(numerator=st.lists(_RANGE, max_size=4), denominator=st.lists(_RANGE, max_size=4))
 # largest range stop 12, 13, 19, 43 and 60: primes just below, at and just
-# above it, where factorial_ratio changes route
+# above it, where factorial_ratio changes route; 121 = 11^2 and 961 = 31^2,
+# and one past each, where the sieve bound decides whether q^2 is crossed out
 @example(numerator=[range(10, 12)], denominator=[range(3, 5)])
 @example(numerator=[range(2, 4)], denominator=[range(11, 12)])
 @example(numerator=[range(5, 5), range(12, 13)], denominator=[range(5, 7)])
 @example(numerator=[range(0, 19)], denominator=[range(1, 18)])
 @example(numerator=[range(30, 38)], denominator=[range(41, 43)])
 @example(numerator=[range(48, 60)], denominator=[range(40, 52), range(7, 9)])
+@example(numerator=[range(110, 121)], denominator=[range(105, 116)])
+@example(numerator=[range(100, 112), range(5, 9)], denominator=[range(112, 122)])
+@example(numerator=[range(950, 961)], denominator=[range(947, 958)])
+@example(numerator=[range(940, 952)], denominator=[range(951, 962), range(28, 32)])
 def test_factorial_ratio_over_fp_is_the_quotient_mod_p(numerator, denominator):
     """Primes at or above the largest range stop give the quotient mod p
     (prefix products of a! mod p); a prime inside the range gives zero when
