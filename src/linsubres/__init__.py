@@ -20,17 +20,16 @@ _SOURCES = {
     name: module
     for module, names in {
         "errors": "errors",
-        "fastsubres": "Basis CharCase CofactorPair SubresResult bernstein_to_monomial "
-                      "classify cofactors expand_pair_basis factorial_ratio "
-                      "leading_coefficient_sd pair_basis_coeffs result_from_json "
-                      "result_to_json sres_bernstein sres_fast",
+        "fastsubres": "Basis CharCase CofactorPair SubresResult classify cofactors "
+                      "expand_pair_basis factorial_ratio leading_coefficient_sd "
+                      "pair_basis_coeffs result_to_json sres_bernstein sres_fast",
         "field": "FieldDescriptor FieldValue OpCounter binary_pow count_ops "
                  "parse_field_spec prime_field rationals",
         "jacobi": "JacobiParams binomial falling_product hyp2f1_poly "
                   "jacobi_hypergeometric jacobi_rodrigues pochhammer shifted_jacobi "
                   "verify_pade_identity",
-        "poly": "DensePoly ProblemSpec poly_from_json poly_to_json power_of_linear",
-        "check": "psres_oracle sres_oracle PsresSchedule psres_schedule",
+        "poly": "DensePoly ProblemSpec poly_to_json power_of_linear",
+        "check": "psres_oracle sres_oracle psres_schedule",
         "psres": "psres_all",
     }.items()
     for name in names.split()

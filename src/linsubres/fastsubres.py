@@ -32,11 +32,9 @@ from .errors import (
 from .field import (
     FieldDescriptor,
     FieldValue,
-    OpCounter,
     binary_pow,
     count_ops,
     credit_ops,
-    parse_field_spec,
 )
 from .poly import DensePoly, ProblemSpec
 
@@ -51,12 +49,10 @@ __all__ = [
     "leading_coefficient_sd",
     "sres_fast",
     "sres_bernstein",
-    "bernstein_to_monomial",
     "pair_basis_coeffs",
     "expand_pair_basis",
     "cofactors",
     "result_to_json",
-    "result_from_json",
 ]
 
 
@@ -89,7 +85,8 @@ class SubresResult(namedtuple("SubresResult", "spec basis coeffs case op_count p
 
     def polynomial(self) -> DensePoly:
         if self.basis is not Basis.MONOMIAL:
-            raise BasisMismatch("polynomial() needs monomial coefficients; convert first")
+            raise BasisMismatch("polynomial() needs monomial coefficients; "
+                                "call sres_fast(result.spec)")
         return DensePoly(self.spec.descriptor, self.coeffs)
 
 
@@ -438,24 +435,6 @@ def sres_bernstein(spec: ProblemSpec) -> SubresResult:
     )
 
 
-def bernstein_to_monomial(result: SubresResult) -> SubresResult:
-    """The monomial form of a pair-basis result, in linear time.
-
-    A pair-basis result is fixed by its spec, so this checks that its
-    coefficients and prefactor are sres_bernstein(result.spec)'s, raising
-    PreconditionError if not, and returns sres_fast(result.spec), whose
-    op_count is the recurrence's.  Expanding the pair basis instead
-    (expand_pair_basis) is quadratic in d.
-    """
-    if result.basis is not Basis.BERNSTEIN:
-        raise BasisMismatch(f"expected bernstein coefficients, got {result.basis.value}")
-    expected = sres_bernstein(result.spec)
-    if tuple(result.coeffs) != expected.coeffs or result.prefactor != expected.prefactor:
-        raise PreconditionError("bernstein_to_monomial converts only sres_bernstein's "
-                                "output; these coefficients or prefactor differ from it")
-    return sres_fast(result.spec)
-
-
 def expand_pair_basis(coeffs, alpha: FieldValue, beta: FieldValue) -> DensePoly:
     """Expand sum_j coeffs[j] (x - alpha)^j (x - beta)^(r-j), r = len - 1,
     into the monomial basis in O(r^2) field operations."""
@@ -542,7 +521,7 @@ def cofactors(spec: ProblemSpec) -> CofactorPair:
 
 
 def result_to_json(result: SubresResult) -> dict:
-    """JSON shape shared with the CLI; see also result_from_json."""
+    """JSON shape shared with the CLI."""
     spec = result.spec
     payload = {
         "m": spec.m,
@@ -559,25 +538,3 @@ def result_to_json(result: SubresResult) -> dict:
     if result.prefactor is not None:
         payload["prefactor"] = str(result.prefactor)
     return payload
-
-
-def result_from_json(obj: dict) -> SubresResult:
-    descriptor = parse_field_spec(obj["field"])
-    spec = ProblemSpec(
-        obj["m"],
-        obj["n"],
-        obj["d"],
-        descriptor.from_str(obj["alpha"]),
-        descriptor.from_str(obj["beta"]),
-    )
-    ops = obj["ops"]
-    prefactor = obj.get("prefactor")
-    return SubresResult(
-        spec=spec,
-        basis=Basis(obj["basis"]),
-        coeffs=tuple(descriptor.from_str(s) for s in obj["coeffs"]),
-        case=CharCase(obj["case"]),
-        op_count=OpCounter(adds=ops["add"], muls=ops["mul"], divs=ops["div"],
-                           negs=ops["neg"]),
-        prefactor=None if prefactor is None else descriptor.from_str(prefactor),
-    )

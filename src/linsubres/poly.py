@@ -10,14 +10,13 @@ import math
 from collections import namedtuple
 
 from .errors import FieldMismatch, PreconditionError
-from .field import FieldDescriptor, FieldValue, parse_field_spec
+from .field import FieldDescriptor, FieldValue
 
 __all__ = [
     "DensePoly",
     "ProblemSpec",
     "power_of_linear",
     "poly_to_json",
-    "poly_from_json",
 ]
 
 
@@ -197,8 +196,3 @@ def poly_to_json(poly: DensePoly) -> dict:
         "field": poly.descriptor.spec_string(),
         "coeffs": [str(c) for c in poly.coeffs],
     }
-
-
-def poly_from_json(obj: dict) -> DensePoly:
-    descriptor = parse_field_spec(obj["field"])
-    return DensePoly(descriptor, [descriptor.from_str(s) for s in obj["coeffs"]])

@@ -112,6 +112,19 @@ def test_every_exported_name_is_its_defining_object(name):
         assert getattr(sys.modules[value.__module__], name) is value
 
 
+def test_public_names_are_pinned():
+    assert sorted(linsubres.__all__) == [
+        "Basis", "CharCase", "CofactorPair", "DensePoly", "FieldDescriptor", "FieldValue",
+        "JacobiParams", "OpCounter", "ProblemSpec", "SubresResult", "__version__",
+        "binary_pow", "binomial", "classify", "cofactors", "count_ops", "errors",
+        "expand_pair_basis", "factorial_ratio", "falling_product", "hyp2f1_poly",
+        "jacobi_hypergeometric", "jacobi_rodrigues", "leading_coefficient_sd",
+        "pair_basis_coeffs", "parse_field_spec", "pochhammer", "poly_to_json",
+        "power_of_linear", "prime_field", "psres_all", "psres_oracle", "psres_schedule",
+        "rationals", "result_to_json", "shifted_jacobi", "sres_bernstein", "sres_fast",
+        "sres_oracle", "verify_pade_identity"]
+
+
 def test_namespace_lists_and_rejects_names():
     assert set(linsubres.__all__) <= set(dir(linsubres))
     with pytest.raises(AttributeError):
