@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 from .errors import CharacteristicError, LinsubresError
 from .field import count_ops, parse_field_spec, prime_field
@@ -44,25 +44,6 @@ def _roots(args):
     return descriptor, descriptor.from_str(args.alpha), descriptor.from_str(args.beta)
 
 
-@contextmanager
-def uncapped_int_str():
-    """Lift the interpreter's int-to-str digit cap for the block.
-
-    Exact results over Q outgrow the default 4300 digits at moderate sizes
-    (m = n = 256 already), so output is built inside this block; input is
-    parsed outside it and stays capped, since the cap guards parsing
-    against quadratic-time denial of service."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    cap = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(cap)
-
-
 def cmd_compute(args) -> int:
     _, alpha, beta = _roots(args)
     spec = ProblemSpec(args.m, args.n, args.d, alpha, beta)
@@ -70,12 +51,11 @@ def cmd_compute(args) -> int:
         result = sres_bernstein(spec)
     else:
         result = sres_fast(spec)
-    pair = cofactors(spec) if args.cofactors else None
-    with uncapped_int_str():
-        payload = result_to_json(result)
-        if pair is not None:
-            payload["cofactors"] = {"f": poly_to_json(pair.f), "g": poly_to_json(pair.g)}
-        print(json.dumps(payload))
+    payload = result_to_json(result)
+    if args.cofactors:
+        pair = cofactors(spec)
+        payload["cofactors"] = {"f": poly_to_json(pair.f), "g": poly_to_json(pair.g)}
+    print(json.dumps(payload))
     return EXIT_OK
 
 
@@ -85,17 +65,16 @@ def cmd_psres(args) -> int:
     descriptor, alpha, beta = _roots(args)
     with count_ops() as counter:
         values = psres_all(args.m, args.n, alpha, beta)
-    with uncapped_int_str():
-        payload = {
-            "m": args.m,
-            "n": args.n,
-            "alpha": str(alpha),
-            "beta": str(beta),
-            "field": descriptor.spec_string(),
-            "psres": [str(v) for v in values],
-            "ops": counter.as_dict(),
-        }
-        print(json.dumps(payload))
+    payload = {
+        "m": args.m,
+        "n": args.n,
+        "alpha": str(alpha),
+        "beta": str(beta),
+        "field": descriptor.spec_string(),
+        "psres": [str(v) for v in values],
+        "ops": counter.as_dict(),
+    }
+    print(json.dumps(payload))
     return EXIT_OK
 
 

@@ -444,14 +444,13 @@ def expand_pair_basis(coeffs, alpha: FieldValue, beta: FieldValue) -> DensePoly:
     r = len(coeffs) - 1
     x_minus_alpha = DensePoly(descriptor, (-alpha, descriptor.one))
     x_minus_beta = DensePoly(descriptor, (-beta, descriptor.one))
-    beta_powers = [DensePoly.one(descriptor)]
-    for _ in range(r):
-        beta_powers.append(beta_powers[-1] * x_minus_beta)
+    beta_power = DensePoly.one(descriptor)  # (x - beta)^(r - t) in the loop
     acc = DensePoly.constant(coeffs[r])
     for t in range(r - 1, -1, -1):
         acc = acc * x_minus_alpha
+        beta_power = beta_power * x_minus_beta
         if not coeffs[t].is_zero():
-            acc = acc + beta_powers[r - t].scale(coeffs[t])
+            acc = acc + beta_power.scale(coeffs[t])
     return acc
 
 

@@ -148,6 +148,20 @@ def _int_digit_cap() -> int:
     return getter() if getter else 0
 
 
+def _int_text(n: int) -> str:
+    """str(n) at any size, without lifting the int-to-str digit cap: the
+    cap guards parsing against quadratic-time denial of service, and
+    output needs no exemption from it.  Past the cap, n is split in
+    decimal, divmod(|n|, 10**k) with k about half its digits, and each
+    part printed the same way, the low part zero-padded to k digits."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20
+        high, low = divmod(abs(n), 10**k)
+        return ("-" if n < 0 else "") + _int_text(high) + _int_text(low).zfill(k)
+
+
 def _parse_rational(text: str) -> Fraction:
     """Fraction(text), the string reader of both fields, refusing, as
     int(text) does, a numerator or denominator past the int-to-str digit
@@ -350,10 +364,16 @@ class FieldValue:
         return self.payload != 0
 
     def __str__(self) -> str:
-        return str(self.payload)
+        try:
+            return str(self.payload)
+        except ValueError:  # only a Fraction, over Q, grows past the digit cap
+            text = _int_text(self.payload.numerator)
+            if self.payload.denominator == 1:
+                return text
+            return f"{text}/{_int_text(self.payload.denominator)}"
 
     def __repr__(self) -> str:
-        return f"<{self.payload} in {self.descriptor.spec_string()}>"
+        return f"<{self} in {self.descriptor.spec_string()}>"
 
 
 _RATIONALS = FieldDescriptor()

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from linsubres import check, cli
+from linsubres import check
 from linsubres.check import CSV_HEADER, BenchRow, run_bench
 from linsubres.cli import main
 from linsubres.fastsubres import leading_coefficient_sd, sres_fast
@@ -125,6 +125,7 @@ def test_exit_code_usage(capsys):
     assert main(["psres", "--m", "2", "--n", "2", "--alpha", "x", "--beta", "1"]) == 2
     # bad prime list
     assert main(["verify", "--primes", "4"]) == 2
+    assert main(["verify", "--primes", "11,x"]) == 2
     # a degree box that holds no case
     assert main(["verify", "--max-degree", "0"]) == 2
     assert main(["verify", "--max-degree", "-1"]) == 2
@@ -298,7 +299,8 @@ def test_console_script_installed():
 
 
 def test_q_output_past_the_int_str_limit(capsys):
-    """Coefficients over 4300 digits serialise; the cap is restored after."""
+    """Coefficients over 4300 digits serialise under the cap, which the
+    command leaves as it was."""
     cap = sys.get_int_max_str_digits()
     argv = ["compute", "--m=256", "--n=256", "--d=128", "--alpha=1", "--beta=2"]
     assert main(argv) == 0
@@ -306,9 +308,13 @@ def test_q_output_past_the_int_str_limit(capsys):
     assert sys.get_int_max_str_digits() == cap
     Q = rationals()
     top = leading_coefficient_sd(ProblemSpec(256, 256, 128, Q.element(1), Q.element(2)))
-    with cli.uncapped_int_str():
-        assert len(str(top.payload)) > 4300
-        assert json.loads(out)["coeffs"][-1] == str(top.payload)
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(top.payload)
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert len(expected) > 4300
+    assert json.loads(out)["coeffs"][-1] == expected
 
 
 def test_input_past_the_int_str_limit_is_a_usage_error(capsys):

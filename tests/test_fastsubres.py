@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from linsubres.fastsubres import (
 )
 from linsubres.field import count_ops, parse_field_spec, prime_field, rationals
 from linsubres.check import psres_oracle, sres_oracle
-from linsubres.poly import DensePoly, ProblemSpec, power_of_linear
+from linsubres.poly import DensePoly, ProblemSpec, poly_to_json, power_of_linear
 
 Q = rationals()
 F3 = prime_field(3)
@@ -331,6 +332,35 @@ def test_result_json_round_trip():
         assert tuple(descriptor.from_str(c) for c in payload["coeffs"]) == result.coeffs
         assert payload["ops"] == result.op_count.as_dict()
         assert json.loads(json.dumps(payload)) == payload
+
+
+def test_json_writers_print_past_the_int_str_limit():
+    """result_to_json, poly_to_json and repr print Q values past the
+    default 4300-digit cap as the uncapped str prints them, and leave the
+    cap as it was."""
+    results = [sres_fast(spec_of(256, 256, 128, 3, -2)),
+               sres_fast(spec_of(96, 96, 48, Fraction(-7, 9), Fraction(5, 8)))]
+    pair = cofactors(spec_of(160, 160, 80, 3, -2))
+    polys = [pair.f, pair.g]
+    cap = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        payloads = [result_to_json(result) for result in results]
+        written = [poly_to_json(poly) for poly in polys]
+        reprs = [repr(result.coeffs[-1]) for result in results]
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        for result, payload, shown in zip(results, payloads, reprs):
+            assert payload["coeffs"] == [str(c.payload) for c in result.coeffs]
+            assert shown == f"<{result.coeffs[-1].payload} in q>"
+        for poly, obj in zip(polys, written):
+            assert obj["coeffs"] == [str(c.payload) for c in poly.coeffs]
+        longest = max(len(c) for c in payloads[0]["coeffs"])
+        assert longest == 17_078
+        assert max(len(c) for obj in written for c in obj["coeffs"]) > 4300
+        assert max(len(c.partition("/")[2]) for c in payloads[1]["coeffs"]) > 4300
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def test_fraction_parameters():

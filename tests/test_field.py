@@ -16,6 +16,7 @@ from linsubres.errors import (
 from linsubres.field import (
     FieldValue,
     OpCounter,
+    _int_text,
     binary_pow,
     binary_pow_muls,
     count_ops,
@@ -26,6 +27,7 @@ from linsubres.field import (
 
 Q = rationals()
 F7 = prime_field(7)
+DEFAULT_INT_STR_CAP = 4300  # CPython's default int-to-str digit cap
 
 
 def test_rational_arithmetic():
@@ -66,6 +68,13 @@ def test_field_mismatch():
         Q.one + F7.one
     with pytest.raises(FieldMismatch):
         F7.element(prime_field(11).one)
+    for value in (True, 1.5):
+        with pytest.raises(TypeError):
+            Q.element(value)
+    for mixed in (lambda: Q.one + 1, lambda: Q.one - 1, lambda: Q.one * 1,
+                  lambda: Q.one / 1, lambda: 1 + Q.one, lambda: Q.one ** 1.5):
+        with pytest.raises(TypeError):
+            mixed()
 
 
 def test_modulus_validation():
@@ -73,6 +82,8 @@ def test_modulus_validation():
         prime_field(4)
     with pytest.raises(InvalidModulus):
         prime_field(1)
+    with pytest.raises(InvalidModulus):
+        prime_field(1763)  # 41 * 43: no witness divides it, Miller-Rabin refuses it
     with pytest.raises(InvalidModulus):
         prime_field(2**64 + 13)  # beyond the deterministic primality range
     prime_field(2)
@@ -127,6 +138,48 @@ def test_element_holds_strings_to_the_int_str_limit():
         with pytest.raises(ValueError, match=f"cannot parse '{text}'.*{cap}-digit input limit"):
             Q.from_str(text)
     assert Q.element(f"1e{cap - 1}") == Q.element(10 ** (cap - 1))
+
+
+def test_int_text_is_the_uncapped_str():
+    """_int_text prints what str prints with the digit cap lifted, under
+    any cap: random ints of 1 to 200k bits of both signs, 0, and 10^j,
+    10^j - 1 and 10^j + 1 around the caps and the split points."""
+    rng = random.Random(23)
+    sizes = [1, 2, 64, 2126, 2127, 14283, 14284, 200_000]
+    sizes += [int(2 ** rng.uniform(0, 17.6)) + 1 for _ in range(24)]
+    values = [0] + [rng.getrandbits(bits) | 1 << (bits - 1) for bits in sizes]
+    for j in (1, 319, 639, 640, 641, 1281, 2150, 4299, 4300, 4301, 8601, 30_000):
+        values += [10**j - 1, 10**j, 10**j + 1]
+    values += [-v for v in values]
+    cap = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = [str(v) for v in values]
+        for limit in (640, DEFAULT_INT_STR_CAP, 0):
+            sys.set_int_max_str_digits(limit)
+            assert [_int_text(v) for v in values] == expected
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def test_values_print_past_the_int_str_limit():
+    """str and repr of a Q value print its numerator and denominator at
+    any size under the default cap, as the uncapped Fraction prints them,
+    and leave the cap as it was."""
+    big = 7**6000  # 5,071 digits
+    fractions = [Fraction(big), Fraction(-big), Fraction(1, big), Fraction(-big, big + 2),
+                 Fraction(big, 3), Fraction(-3, 7)]
+    cap = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = [str(value) for value in fractions]
+        sys.set_int_max_str_digits(DEFAULT_INT_STR_CAP)
+        values = [Q.element(value) for value in fractions]
+        assert [str(v) for v in values] == expected
+        assert [repr(v) for v in values] == [f"<{text} in q>" for text in expected]
+        assert sys.get_int_max_str_digits() == DEFAULT_INT_STR_CAP
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def _digits(draw, value: int) -> str:

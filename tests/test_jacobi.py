@@ -168,6 +168,10 @@ def test_shifted_jacobi_guards():
     F5 = prime_field(5)
     with pytest.raises(CharacteristicError):
         shifted_jacobi(ProblemSpec(4, 4, 2, F5.element(0), F5.element(1)))
+    with pytest.raises(PreconditionError):
+        pair_basis_coeffs(-1, 0, 0, Q)
+    with pytest.raises(PreconditionError):
+        expand_pair_basis([], Q.one, Q.zero)
 
 
 def test_hyp2f1_values():
@@ -182,6 +186,8 @@ def test_hyp2f1_values():
 def test_hyp2f1_errors():
     with pytest.raises(PreconditionError):
         hyp2f1_poly(1, 2, 3, Q)
+    with pytest.raises(PreconditionError):
+        hyp2f1_poly(0.5, 1, 1, Q)
     with pytest.raises(PreconditionError):
         hyp2f1_poly(-3, -5, -2, Q)  # (c)_i hits zero before termination
     with pytest.raises(CharacteristicError):
@@ -209,3 +215,5 @@ def test_pade_identity_guards():
 def test_jacobi_params_validation():
     with pytest.raises(PreconditionError):
         JacobiParams(-1, 0, 0)
+    with pytest.raises(PreconditionError):
+        JacobiParams(1, 0.5, 0)

@@ -95,6 +95,15 @@ def test_only_the_cli_imports_inside_a_function():
     assert local and all(file == "cli.py" for file, _, _ in local), local
 
 
+def test_no_module_sets_the_int_str_cap():
+    """The int-to-str digit cap guards parsing; no module lifts or moves it."""
+    calls = [path.name for path in sorted((SRC / "linsubres").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and "set_int_max_str_digits"
+             in {getattr(node.func, "attr", None), getattr(node.func, "id", None)}]
+    assert not calls, calls
+
+
 def test_only_check_imports_jacobi():
     assert {file for file, _, name in package_imports()
             if name == "linsubres.jacobi"} == {"check.py"}

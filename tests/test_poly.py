@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from linsubres.check import psres_oracle, sres_oracle
+from linsubres.check import _det, psres_oracle, sres_oracle
 from linsubres.errors import FieldMismatch, PreconditionError
 from linsubres.field import parse_field_spec, prime_field, rationals
 from linsubres.poly import (
@@ -31,6 +31,12 @@ def test_normalization_strips_trailing_zeros():
     assert p == ints(Q, 1, 2)
     assert DensePoly(Q, [Q.zero]).is_zero()
     assert DensePoly.zero(Q).degree == -1
+    with pytest.raises(PreconditionError):
+        DensePoly.zero(Q).leading()
+    with pytest.raises(TypeError):
+        DensePoly(Q, [1])
+    with pytest.raises(FieldMismatch):
+        DensePoly(Q, [F7.one])
 
 
 def test_basic_arithmetic():
@@ -69,6 +75,8 @@ def test_power_of_linear_examples():
     assert power_of_linear(Q.element(0), 5) == ints(Q, 0, 0, 0, 0, 0, 1)
     assert power_of_linear(Q.element(3), 0) == DensePoly.one(Q)
     assert power_of_linear(F7.element(2), 3) == ints(F7, 6, 5, 1, 1)
+    with pytest.raises(ValueError):
+        power_of_linear(Q.one, -1)
 
 
 def test_power_of_linear_matches_repeated_multiplication():
@@ -185,6 +193,11 @@ def test_oracle_precondition_errors():
         psres_oracle(f, g, -1)
     with pytest.raises(FieldMismatch):
         sres_oracle(f, power_of_linear(F7.element(2), 2), 0)
+    with pytest.raises(PreconditionError):
+        sres_oracle(f, g, 1.0)
+    for rows in ([[Q.one, Q.one]], []):
+        with pytest.raises(PreconditionError):
+            _det(rows)
 
 
 def test_poly_json_round_trip():
