@@ -10,13 +10,14 @@ fast algorithms.  No request path imports this module; `verify` and
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
 import random
 import time
+from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 
 from .errors import FieldMismatch, PreconditionError
 from .fastsubres import (
@@ -173,8 +174,7 @@ def psres_oracle(f: DensePoly, g: DensePoly, d: int) -> FieldValue:
 # The reference route for psres_all.
 
 
-@dataclasses.dataclass(frozen=True)
-class PsresSchedule:
+class PsresSchedule(namedtuple("PsresSchedule", "m n alpha beta v u c gamma h values")):
     """The chains behind the principal subresultants, as the reference
     route psres_schedule builds them in FieldValue arithmetic.
 
@@ -190,16 +190,7 @@ class PsresSchedule:
     alpha = beta short-circuits to all-zero values with empty chains.
     """
 
-    m: int
-    n: int
-    alpha: FieldValue
-    beta: FieldValue
-    v: tuple
-    u: tuple
-    c: tuple
-    gamma: tuple
-    h: tuple
-    values: tuple
+    __slots__ = ()
 
 
 def psres_schedule(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> PsresSchedule:
@@ -457,31 +448,14 @@ def run_verify(max_degree: int, primes, seed: int, suite: str) -> bool:
 # Benchmark rows.
 
 
-@dataclasses.dataclass
-class BenchRow:
+class BenchRow(namedtuple("BenchRow", "m n d field algorithm adds muls divs wall_ns")):
     """One benchmark measurement; counts are the tally of exactly one run.
     The fields, in order, are the CSV columns."""
 
-    m: int
-    n: int
-    d: int
-    field: str
-    algorithm: str
-    adds: int
-    muls: int
-    divs: int
-    wall_ns: int
-
-    def to_csv(self) -> list:
-        return [str(value) for value in dataclasses.astuple(self)]
-
-    @classmethod
-    def from_csv(cls, row) -> "BenchRow":
-        return cls(*(value if column.type == "str" else int(value)
-                     for column, value in zip(dataclasses.fields(cls), row)))
+    __slots__ = ()
 
 
-CSV_HEADER = [column.name for column in dataclasses.fields(BenchRow)]
+CSV_HEADER = list(BenchRow._fields)
 
 BENCH_ALGORITHMS = ("fast", "psres_all", "oracle")
 
@@ -490,7 +464,8 @@ def run_bench(sizes, descriptor: FieldDescriptor, oracle_cutoff: int,
               algorithms=BENCH_ALGORITHMS, alpha=1, beta=2):
     """One row per (size, algorithm): m = n = size, d = size // 2, roots
     alpha and beta (values descriptor.element accepts; 1 and 2 by
-    default).  Oracle runs are skipped above the cutoff."""
+    default).  Oracle runs are skipped above the cutoff.  A row's counts
+    and wall time cover the call alone: its inputs are built first."""
     rows = []
     field_name = descriptor.spec_string()
     alpha = descriptor.element(alpha)
@@ -502,23 +477,16 @@ def run_bench(sizes, descriptor: FieldDescriptor, oracle_cutoff: int,
             if algorithm == "oracle":
                 if size > oracle_cutoff:
                     continue
-                f = power_of_linear(alpha, m)
-                g = power_of_linear(beta, n)
-                with count_ops() as counter:
-                    start = time.perf_counter_ns()
-                    sres_oracle(f, g, d)
-                    wall = time.perf_counter_ns() - start
+                f, g = power_of_linear(alpha, m), power_of_linear(beta, n)
+                call = partial(sres_oracle, f, g, d)
             elif algorithm == "psres_all":
-                with count_ops() as counter:
-                    start = time.perf_counter_ns()
-                    psres_all(m, n, alpha, beta)
-                    wall = time.perf_counter_ns() - start
+                call = partial(psres_all, m, n, alpha, beta)
             else:
-                spec = ProblemSpec(m, n, d, alpha, beta)
+                call = partial(sres_fast, ProblemSpec(m, n, d, alpha, beta))
+            with count_ops() as counter:
                 start = time.perf_counter_ns()
-                result = sres_fast(spec)
+                call()
                 wall = time.perf_counter_ns() - start
-                counter = result.op_count
             rows.append(BenchRow(m, n, d, field_name, algorithm,
                                  counter.adds, counter.muls, counter.divs, wall))
     return rows

@@ -109,11 +109,12 @@ def cmd_bench(args) -> int:
     descriptor, alpha, beta = _roots(args)
     if alpha == beta:
         raise ValueError(f"bench needs distinct roots, have alpha = beta = {alpha}")
-    rows = run_bench(sizes, descriptor, args.oracle_cutoff, algorithms, alpha, beta)
+    # open the target first, so a bad path fails before any work is done
     with open(args.csv, "w", newline="") if args.csv else nullcontext(sys.stdout) as handle:
+        rows = run_bench(sizes, descriptor, args.oracle_cutoff, algorithms, alpha, beta)
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
-        writer.writerows(row.to_csv() for row in rows)
+        writer.writerows(rows)
     return EXIT_OK
 
 

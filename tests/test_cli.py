@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from linsubres import check
-from linsubres.check import CSV_HEADER, BenchRow, run_bench
+from linsubres.check import CSV_HEADER, run_bench
 from linsubres.cli import main
 from linsubres.fastsubres import leading_coefficient_sd, sres_fast
 from linsubres.field import prime_field, rationals
@@ -179,6 +180,20 @@ def test_verify_single_suite(capsys):
     assert out.startswith("pade: PASS")
 
 
+def test_verify_skip_rules():
+    """Over F_7, verify draws no (m, n) with 7 < max(m, n), checks psres
+    only where 7 >= m + n, and the pair basis only at generic d."""
+    F7 = prime_field(7)
+    cases = check._cases([F7], 8, random.Random(0), 1)
+    assert [(m, n) for m, n, _, _ in cases] == [(m, n) for m in range(1, 8) for n in range(1, 8)]
+    one, two = F7.element(1), F7.element(2)
+    assert list(check._check_psres(4, 4, one, two)) == []
+    assert [ok for ok, _ in check._check_psres(4, 3, one, two)] == [True]
+    # at (4, 7), d = 1 and 2 lie in the vanishing band and d = 3 is the boundary prime
+    records = list(check._check_bernstein(4, 7, one, two))
+    assert [(ok, detail["d"]) for ok, detail in records] == [(True, 0)]
+
+
 def test_verify_failure_prints_counterexample(monkeypatch, capsys):
     def bad_suite(max_degree, primes, rng):
         yield True, {}
@@ -195,7 +210,14 @@ def test_verify_failure_prints_counterexample(monkeypatch, capsys):
     assert json.loads(lines[3]) == {"suite": "oracle", "why": "forced"}
 
 
-def test_bench_rows_and_schema():
+def bench_csv(capsys):
+    """The data rows of the CSV a bench command printed, as {column: cell}."""
+    table = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert table[0] == CSV_HEADER
+    return [dict(zip(CSV_HEADER, line)) for line in table[1:]]
+
+
+def test_bench_rows_and_schema(monkeypatch, capsys):
     rows = run_bench([4, 8], prime_field(10007), oracle_cutoff=8)
     assert [(r.m, r.algorithm) for r in rows] == [
         (4, "fast"), (4, "psres_all"), (4, "oracle"),
@@ -204,8 +226,11 @@ def test_bench_rows_and_schema():
     by_key = {(r.m, r.algorithm): r for r in rows}
     assert by_key[(8, "fast")].muls < by_key[(8, "oracle")].muls
     assert all(r.d == r.m // 2 and r.field == "fp:10007" for r in rows)
-    for row in rows:
-        assert BenchRow.from_csv(row.to_csv()) == row
+    assert all(type(value) is int for r in rows for value in r[:3] + r[5:])
+    monkeypatch.setattr(check, "run_bench", lambda *args: rows)
+    assert main(["bench", "--sizes", "4,8", "--oracle-cutoff", "8"]) == 0
+    assert [list(line.values()) for line in bench_csv(capsys)] == [
+        [str(value) for value in row] for row in rows]
 
 
 def test_bench_cutoff_skips_oracle():
@@ -242,19 +267,16 @@ def test_bench_rejects_bad_sizes(capsys):
 
 def test_bench_algorithm_selection(capsys):
     assert main(["bench", "--sizes", "64,128", "--algorithms", "fast"]) == 0
-    table = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    assert len(table) == 3  # header + one row per size
-    rows = [BenchRow.from_csv(row) for row in table[1:]]
-    assert [(r.m, r.algorithm) for r in rows] == [(64, "fast"), (128, "fast")]
-    assert rows[1].muls <= 2.5 * rows[0].muls + 200
+    rows = bench_csv(capsys)  # one row per size
+    assert [(int(r["m"]), r["algorithm"]) for r in rows] == [(64, "fast"), (128, "fast")]
+    assert int(rows[1]["muls"]) <= 2.5 * int(rows[0]["muls"]) + 200
 
     assert main(["bench", "--sizes", "8", "--field", "fp:101",
                  "--algorithms", "fast,oracle"]) == 0
-    rows = [BenchRow.from_csv(row) for row in
-            list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]]
-    assert [r.algorithm for r in rows] == ["fast", "oracle"]
-    fast, oracle = rows
-    assert fast.adds + fast.muls + fast.divs < oracle.adds + oracle.muls + oracle.divs
+    rows = bench_csv(capsys)
+    assert [r["algorithm"] for r in rows] == ["fast", "oracle"]
+    fast, oracle = ([int(r[column]) for column in ("adds", "muls", "divs")] for r in rows)
+    assert sum(fast) < sum(oracle)
 
     assert main(["bench", "--sizes", "16", "--field", "fp:101",
                  "--algorithms", "psres_all"]) == 0
@@ -271,14 +293,24 @@ def test_bench_roots(capsys):
     counts = []
     for alpha, beta, flags in ((1, 2, []), (1, -1, ["--alpha", "1", "--beta", "-1"])):
         assert main(argv + flags) == 0
-        table = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-        (row,) = [BenchRow.from_csv(line) for line in table[1:]]
+        (row,) = bench_csv(capsys)
         expected = sres_fast(ProblemSpec(12, 12, 6, F.element(alpha), F.element(beta))).op_count
-        assert (row.adds, row.muls, row.divs) == (expected.adds, expected.muls, expected.divs)
-        counts.append((row.adds, row.muls))
+        assert (int(row["adds"]), int(row["muls"]), int(row["divs"])) == (
+            expected.adds, expected.muls, expected.divs)
+        counts.append((row["adds"], row["muls"]))
     assert counts[0] != counts[1]
     assert main(argv + ["--alpha", "3", "--beta", "3"]) == 2
     assert "distinct roots" in capsys.readouterr().err
+
+
+def test_bench_bad_csv_path_fails_before_any_work(monkeypatch, capsys, tmp_path):
+    def no_work(*args):
+        raise AssertionError("run_bench ran before the CSV target was opened")
+
+    monkeypatch.setattr(check, "run_bench", no_work)
+    target = tmp_path / "no_such_dir" / "bench.csv"
+    assert main(["bench", "--sizes", "4", "--csv", str(target)]) == 2
+    assert "no_such_dir" in capsys.readouterr().err
 
 
 def test_bench_rejects_bad_algorithms(capsys):

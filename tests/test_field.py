@@ -14,6 +14,7 @@ from linsubres.errors import (
     InvalidModulus,
 )
 from linsubres.field import (
+    FieldDescriptor,
     FieldValue,
     OpCounter,
     _int_text,
@@ -249,6 +250,8 @@ def test_equality_and_hash():
     assert hash(Q.element(2)) == hash(Q.element(Fraction(4, 2)))
     assert Q.element(2) != F7.element(2)
     assert Q.element(2) != 2  # no silent cross-type equality
+    assert FieldDescriptor() == Q and (FieldDescriptor() == "q") is False
+    assert not Q.zero and Q.one
 
 
 def test_count_ops_basic():
@@ -356,6 +359,8 @@ def test_opcounter_json_shape():
     with count_ops() as ops:
         _ = -(Q.element(2) * Q.element(3))
     assert ops.as_dict() == {"add": 0, "mul": 1, "div": 0, "neg": 1}
+    assert repr(ops) == "OpCounter(adds=0, muls=1, divs=0, negs=1)"
+    assert (OpCounter() == 0) is False  # NotImplemented, then identity
 
 
 elements = st.integers(min_value=-50, max_value=50)

@@ -60,6 +60,13 @@ def test_psres_adds_only_psres(loaded):
     assert loaded(psres) - loaded(COMPUTE) == {"linsubres.psres"}
 
 
+@pytest.mark.parametrize("command", [["verify", "--max-degree", "1"], ["bench", "--sizes", "4"]])
+def test_check_commands_load_no_dataclasses(loaded, command):
+    modules = loaded(["-m", "linsubres.cli", *command])
+    assert "linsubres.check" in modules
+    assert not modules & {"dataclasses", "inspect"}
+
+
 def test_import_linsubres_loads_no_submodule(loaded):
     modules = loaded(["-c", "import linsubres"])
     assert "linsubres" in modules

@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 
 import pytest
 
@@ -48,6 +49,11 @@ def test_basic_arithmetic():
     assert -x_plus == ints(Q, -1, -1)
     assert x_plus.scale(Q.element(3)) == ints(Q, 3, 3)
     assert (x_plus * DensePoly.zero(Q)).is_zero()
+    assert repr(x_minus) == "DensePoly(q, [-1, 1])"
+    assert hash(x_plus) == hash(ints(Q, 1, 1)) and (x_plus == 1) is False
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(x_plus, 1)
 
 
 def test_evaluate_horner():
