@@ -20,14 +20,7 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import FieldMismatch, PreconditionError
-from .fastsubres import (
-    CharCase,
-    classify,
-    cofactors,
-    expand_pair_basis,
-    sres_bernstein,
-    sres_fast,
-)
+from .fastsubres import CharCase, ProblemSpec, classify, sres_bernstein, sres_fast
 from .field import (
     FieldDescriptor,
     FieldValue,
@@ -44,7 +37,7 @@ from .jacobi import (
     shifted_jacobi,
     verify_pade_identity,
 )
-from .poly import DensePoly, ProblemSpec, power_of_linear
+from .poly import DensePoly, cofactors, expand_pair_basis, power_of_linear
 from .psres import _check_args, psres_all
 
 __all__ = [
@@ -276,7 +269,7 @@ def _check_sres(m, n, alpha, beta):
     f, g = power_of_linear(alpha, m), power_of_linear(beta, n)
     for d in range(min(m, n)):
         result = sres_fast(ProblemSpec(m, n, d, alpha, beta))
-        yield (result.polynomial() == sres_oracle(f, g, d),
+        yield (DensePoly.of(result) == sres_oracle(f, g, d),
                _detail("sres", m, n, alpha, beta, d=d, case=result.case.value))
 
 
@@ -286,7 +279,7 @@ def _check_cofactors(m, n, alpha, beta):
     for d in range(min(m, n)):
         spec = ProblemSpec(m, n, d, alpha, beta)
         pair = cofactors(spec)
-        ok = pair.f * f + pair.g * g == sres_fast(spec).polynomial()
+        ok = pair.f * f + pair.g * g == DensePoly.of(sres_fast(spec))
         ok = ok and (pair.f.is_zero() or pair.f.degree < n - d)
         ok = ok and (pair.g.is_zero() or pair.g.degree < m - d)
         yield ok, _detail("cofactors", m, n, alpha, beta, d=d)
@@ -321,7 +314,7 @@ def _check_correspondence(m, n, alpha, beta):
         value = field.element(scalar) * (alpha - beta) ** ((m - d) * (n - d))
         shifted = shifted_jacobi(spec)
         ok = shifted.leading() == field.element(math.comb(m + n - d - 1, d))
-        ok = ok and sres_fast(spec).polynomial() == shifted.scale(value)
+        ok = ok and DensePoly.of(sres_fast(spec)) == shifted.scale(value)
         yield ok, _detail("correspondence", m, n, alpha, beta, d=d)
 
 
@@ -337,7 +330,7 @@ def _check_bernstein(m, n, alpha, beta):
         if alpha.descriptor.characteristic == 0:
             ok = all(c.payload.denominator == 1 for c in result.coeffs)
         expanded = expand_pair_basis(result.coeffs, alpha, beta).scale(result.prefactor)
-        ok = ok and expanded == sres_fast(spec).polynomial()
+        ok = ok and expanded == DensePoly.of(sres_fast(spec))
         yield ok, _detail("bernstein", m, n, alpha, beta, d=d)
 
 

@@ -3,8 +3,10 @@
 Subcommands: compute (one subresultant, optional cofactors), psres (all
 principal subresultants), verify (self-check sweeps against the
 determinant oracle and the Jacobi identities), bench (operation counts
-and wall times in CSV).  Only compute and psres are on the request path:
-verify and bench import linsubres.check when they run.
+and wall times in CSV).  Only compute and psres are on the request path,
+and each imports only what it runs: compute imports linsubres.poly only
+under --cofactors, psres imports linsubres.psres, and verify and bench
+import linsubres.check.
 
 Exit codes: 0 success, 2 usage or invalid values, 3 unsupported
 characteristic case, 4 verification failure.
@@ -19,8 +21,7 @@ from contextlib import nullcontext
 
 from .errors import CharacteristicError, LinsubresError
 from .field import count_ops, parse_field_spec, prime_field
-from .fastsubres import cofactors, result_to_json, sres_bernstein, sres_fast
-from .poly import ProblemSpec, poly_to_json
+from .fastsubres import ProblemSpec, result_to_json, sres_bernstein, sres_fast
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -53,6 +54,8 @@ def cmd_compute(args) -> int:
         result = sres_fast(spec)
     payload = result_to_json(result)
     if args.cofactors:
+        from .poly import cofactors, poly_to_json
+
         pair = cofactors(spec)
         payload["cofactors"] = {"f": poly_to_json(pair.f), "g": poly_to_json(pair.g)}
     print(json.dumps(payload))

@@ -5,8 +5,10 @@ case the subresultant of index d is a scaled shifted Jacobi polynomial,
 its coefficients obey a three-term recurrence, and the whole computation
 costs O(min(m, n) + d + log(mn)) field operations instead of the cubic
 determinant definition.  Positive characteristic splits into pinned-down
-cases which this module dispatches on explicitly.  The Bezout cofactors
-are scaled pair-basis expansions, quadratic in their degrees.
+cases which this module dispatches on explicitly.  The problem statement
+(ProblemSpec) and the result (SubresResult) are records here; the Bezout
+cofactors, which return polynomials, live in linsubres.poly, so a
+request without them never loads it.
 
 The kernels run on Python ints, exact when p = 0 and mod p otherwise,
 and credit the tallies of the FieldValue chains they replace: the seed
@@ -20,12 +22,12 @@ import enum
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, compress
-from math import comb, isqrt, lcm
+from math import isqrt, lcm
 
 from .errors import (
-    BasisMismatch,
     CharacteristicError,
     CoincidentRoots,
+    FieldMismatch,
     PreconditionError,
     UnsupportedCase,
 )
@@ -36,22 +38,18 @@ from .field import (
     count_ops,
     credit_ops,
 )
-from .poly import DensePoly, ProblemSpec
 
 __all__ = [
     "CharCase",
     "Basis",
+    "ProblemSpec",
     "SubresResult",
-    "CofactorPair",
     "classify",
     "factorial_ratio",
     "principal_ratio",
     "leading_coefficient_sd",
     "sres_fast",
     "sres_bernstein",
-    "pair_basis_coeffs",
-    "expand_pair_basis",
-    "cofactors",
     "result_to_json",
 ]
 
@@ -70,6 +68,31 @@ class Basis(enum.Enum):
     BERNSTEIN = "bernstein"
 
 
+class ProblemSpec(namedtuple("ProblemSpec", "m n d alpha beta")):
+    """The structured input pair: f = (x - alpha)^m, g = (x - beta)^n,
+    and the subresultant index d with 0 <= d < min(m, n)."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, n: int, d: int, alpha: FieldValue, beta: FieldValue):
+        for name, v in (("m", m), ("n", n), ("d", d)):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise PreconditionError(f"{name} must be an int, got {v!r}")
+        if m < 1 or n < 1:
+            raise PreconditionError(f"need m, n >= 1, got m={m}, n={n}")
+        if not 0 <= d < min(m, n):
+            raise PreconditionError(f"need 0 <= d < min(m, n) = {min(m, n)}, got d={d}")
+        if not isinstance(alpha, FieldValue) or not isinstance(beta, FieldValue):
+            raise PreconditionError("alpha and beta must be FieldValues")
+        if alpha.descriptor != beta.descriptor:
+            raise FieldMismatch("alpha and beta live in different fields")
+        return super().__new__(cls, m, n, d, alpha, beta)
+
+    @property
+    def descriptor(self) -> FieldDescriptor:
+        return self.alpha.descriptor
+
+
 class SubresResult(namedtuple("SubresResult", "spec basis coeffs case op_count prefactor",
                               defaults=(None,))):
     """One subresultant, as coefficients on a basis.
@@ -79,20 +102,8 @@ class SubresResult(namedtuple("SubresResult", "spec basis coeffs case op_count p
     basis: coeffs[j] weights (x-alpha)^j (x-beta)^(d-j), and the stored
     prefactor (alpha-beta)^((m-d)(n-d)) multiplies the whole sum.
     op_count is the field-operation tally of the producing call.
+    poly.DensePoly.of(result) is a monomial result as a polynomial.
     """
-
-    __slots__ = ()
-
-    def polynomial(self) -> DensePoly:
-        if self.basis is not Basis.MONOMIAL:
-            raise BasisMismatch("polynomial() needs monomial coefficients; "
-                                "call sres_fast(result.spec)")
-        return DensePoly(self.spec.descriptor, self.coeffs)
-
-
-class CofactorPair(namedtuple("CofactorPair", "spec f g case")):
-    """Bezout cofactors: f_cof * (x-alpha)^m + g_cof * (x-beta)^n = Sres_d,
-    with deg f_cof < n - d and deg g_cof < m - d."""
 
     __slots__ = ()
 
@@ -433,90 +444,6 @@ def sres_bernstein(spec: ProblemSpec) -> SubresResult:
         op_count=counter.snapshot(),
         prefactor=prefactor,
     )
-
-
-def expand_pair_basis(coeffs, alpha: FieldValue, beta: FieldValue) -> DensePoly:
-    """Expand sum_j coeffs[j] (x - alpha)^j (x - beta)^(r-j), r = len - 1,
-    into the monomial basis in O(r^2) field operations."""
-    if not coeffs:
-        raise PreconditionError("need at least one coefficient")
-    descriptor = alpha.descriptor
-    r = len(coeffs) - 1
-    x_minus_alpha = DensePoly(descriptor, (-alpha, descriptor.one))
-    x_minus_beta = DensePoly(descriptor, (-beta, descriptor.one))
-    beta_power = DensePoly.one(descriptor)  # (x - beta)^(r - t) in the loop
-    acc = DensePoly.constant(coeffs[r])
-    for t in range(r - 1, -1, -1):
-        acc = acc * x_minus_alpha
-        beta_power = beta_power * x_minus_beta
-        if not coeffs[t].is_zero():
-            acc = acc + beta_power.scale(coeffs[t])
-    return acc
-
-
-def pair_basis_coeffs(r: int, k: int, l: int, descriptor: FieldDescriptor) -> list:
-    """Coefficients t_j of (beta-alpha)^r P_r^{(k,l)}(z) on the basis
-    (x-alpha)^j (x-beta)^(r-j), where z = (2x-alpha-beta)/(beta-alpha):
-
-        t_j = C(k+r, j) * C(l+r, r-j)
-
-    as field images of generalized binomials, C(a, j) = (-1)^j C(j-a-1, j)
-    for a negative top a.  The t_j are integers, computed exactly and
-    injected once, so every characteristic has them.  Credits the tally of
-    the ratio chain t_{j+1} = t_j (k+r-j)(r-j) / ((j+1)(l+j+1)) seeded at
-    t_0 = C(l+r, r): 2r multiplications and 2r divisions.
-    """
-    if r < 0:
-        raise PreconditionError(f"degree must be nonnegative, got {r}")
-    credit_ops(muls=2 * r, divs=2 * r)
-    return [descriptor.element(_comb(k + r, j) * _comb(l + r, r - j)) for j in range(r + 1)]
-
-
-def _comb(a: int, j: int) -> int:
-    """The generalized binomial C(a, j) for an integer a of either sign."""
-    return comb(a, j) if a >= 0 else (-1) ** j * comb(j - a - 1, j)
-
-
-def cofactors(spec: ProblemSpec) -> CofactorPair:
-    """The Bezout cofactors (F, G) with F f + G g = Sres_d, deg F < n-d,
-    deg G < m-d.  Both are scaled shifted Jacobi polynomials,
-
-        F = (-1)^(m+d)   delta^((m-d-1)(n-d-1)) T * [pair basis of P_{n-d-1}^{(-n,m)}],
-        G = (-1)^(m+d+1) delta^((m-d-1)(n-d-1)) T * [pair basis of P_{m-d-1}^{(n,-m)}],
-
-    where T = prod_{i=1}^{d} i! (m+n-d-i-1)! / ((m-i)! (n-i)!) is one
-    factorial_ratio, credited as the ratio chain seeded at
-    t_d = d! C(m+n-2d-1, m-d) / (n-d), and the pair-basis coefficients
-    are integers (pair_basis_coeffs).  One formula for every supported
-    characteristic: T's denominators are units for p >= max(m, n), so the
-    formula reduced mod p is the determinantal answer.  In the vanishing
-    band (m+n-d-2)! contains p and T = 0, so F = G = 0.
-    """
-    case = _checked_case(spec)
-    descriptor = spec.descriptor
-    m, n, d = spec.m, spec.n, spec.d
-    delta = spec.alpha - spec.beta
-    scale = binary_pow(delta, (m - d - 1) * (n - d - 1))
-    t_product = descriptor.one
-    if d >= 1:
-        _credit_ratio_chain(d, min(m - d, n - d - 1), d - 1, seed_divs=1)
-        # not principal_ratio(m, n, d) * d! (m+n-2d-1)! / (m+n-d-1)!: that
-        # quotient has p in its denominator in the vanishing band
-        t_product = factorial_ratio(
-            [range(1, d + 1), range(m + n - 2 * d - 1, m + n - d - 1)],
-            [range(m - d, m), range(n - d, n)], descriptor)
-    base = scale * t_product
-    f_cof = expand_pair_basis(
-        pair_basis_coeffs(n - d - 1, -n, m, descriptor), spec.alpha, spec.beta
-    ).scale(base)
-    g_cof = expand_pair_basis(
-        pair_basis_coeffs(m - d - 1, n, -m, descriptor), spec.alpha, spec.beta
-    ).scale(base)
-    if (m + d) % 2:
-        f_cof = -f_cof
-    else:
-        g_cof = -g_cof
-    return CofactorPair(spec=spec, f=f_cof, g=g_cof, case=case)
 
 
 def result_to_json(result: SubresResult) -> dict:

@@ -17,9 +17,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CharacteristicError, CoincidentRoots, PreconditionError
-from .fastsubres import cofactors, expand_pair_basis, sres_fast
+from .fastsubres import ProblemSpec, sres_fast
 from .field import FieldDescriptor, FieldValue
-from .poly import DensePoly, ProblemSpec, power_of_linear
+from .poly import DensePoly, cofactors, expand_pair_basis, power_of_linear
 
 __all__ = [
     "JacobiParams",
@@ -197,7 +197,7 @@ def verify_pade_identity(m: int, n: int, k: int, descriptor: FieldDescriptor) ->
         spec = ProblemSpec(
             m + n + 1, k, m, descriptor.element(0), descriptor.element(1)
         )
-        sres = sres_fast(spec).polynomial()
+        sres = DensePoly.of(sres_fast(spec))
         g_cof = cofactors(spec).g
     numerator = hyp2f1_poly(-m, -k - n, -m - n, descriptor)
     denominator = hyp2f1_poly(-n, k - m, -m - n, descriptor)

@@ -35,9 +35,8 @@ from __future__ import annotations
 from math import comb, gcd
 
 from .errors import CharacteristicError
-from .fastsubres import _ratio_chain, principal_ratio
+from .fastsubres import ProblemSpec, _ratio_chain, principal_ratio
 from .field import FieldDescriptor, FieldValue, binary_pow_muls, credit_ops
-from .poly import ProblemSpec
 
 __all__ = ["psres_all"]
 

@@ -141,6 +141,47 @@ def test_element_holds_strings_to_the_int_str_limit():
     assert Q.element(f"1e{cap - 1}") == Q.element(10 ** (cap - 1))
 
 
+def _fraction_reading(F, text):
+    """What element(text) gave when every text went through Fraction: the
+    value, or the (type, message) of the error."""
+    try:
+        return F.element(Fraction(text))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_integer_texts_read_as_fraction_reads_them():
+    """element and from_str read an integer text, on both fields and
+    under caps 640 and 4300, as Fraction(text) read it: the same value, or
+    the same error type and message, past the digit cap included."""
+    texts = ["0", "-0", "+0", "00", "123456", "-123456", "+42", " 42 ", "\t-7\n",
+             "  5 ", "1_000", "-1_0_0", "007", "-007", " +000_12 ",
+             "1__000", "_1", "1_", "+-1", "- 1", "1 2", "", " ", "+", "0x10", "5\u200b",
+             "\u00a0 5\u2003", "\x1c5\x1f"]
+    cap = sys.get_int_max_str_digits()
+    try:
+        for limit in (640, DEFAULT_INT_STR_CAP):
+            sys.set_int_max_str_digits(limit)
+            for digits in (limit - 1, limit, limit + 1):
+                texts += ["9" * digits, "-" + "8" * digits, "0" * digits + "1",
+                          " " + "1_" * (digits - 1) + "1 "]
+            for F in (Q, prime_field(1000003)):
+                for text in texts:
+                    expected = _fraction_reading(F, text)
+                    if isinstance(expected, FieldValue):
+                        assert F.element(text) == F.from_str(text) == expected, text
+                        continue
+                    with pytest.raises(expected[0]) as excinfo:
+                        F.element(text)
+                    assert str(excinfo.value) == expected[1]
+                    with pytest.raises(ValueError, match="^cannot parse "):
+                        F.from_str(text)
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert prime_field(1000003).from_str(" -1_000_004 ").payload == 1000002
+    assert Q.from_str("-007").payload == Fraction(-7)
+
+
 def test_int_text_is_the_uncapped_str():
     """_int_text prints what str prints with the digit cap lifted, under
     any cap: random ints of 1 to 200k bits of both signs, 0, and 10^j,

@@ -10,7 +10,7 @@ from linsubres.errors import (
     CoincidentRoots,
     PreconditionError,
 )
-from linsubres.fastsubres import expand_pair_basis, pair_basis_coeffs
+from linsubres.fastsubres import ProblemSpec
 from linsubres.field import binary_pow, prime_field, rationals
 from linsubres.jacobi import (
     JacobiParams,
@@ -20,7 +20,7 @@ from linsubres.jacobi import (
     shifted_jacobi,
     verify_pade_identity,
 )
-from linsubres.poly import DensePoly, ProblemSpec
+from linsubres.poly import DensePoly, expand_pair_basis, pair_basis_coeffs
 
 Q = rationals()
 

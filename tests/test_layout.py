@@ -14,10 +14,10 @@ import pytest
 import linsubres
 from linsubres import check, cli
 from linsubres.errors import PreconditionError
-from linsubres.fastsubres import sres_fast
+from linsubres.fastsubres import ProblemSpec, sres_fast
 from linsubres.field import rationals
 from linsubres.jacobi import JacobiParams
-from linsubres.poly import ProblemSpec
+from linsubres.poly import DensePoly
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ROOTS = ["--m=8", "--n=6", "--alpha=1", "--beta=2", "--field=fp:1000003"]
@@ -44,15 +44,15 @@ def loaded():
 
 
 def test_compute_loads_no_check_code(loaded):
-    modules = loaded(COMPUTE)
-    assert {name for name in modules if name.split(".")[0] == "linsubres"} == {
-        "linsubres", "linsubres.errors", "linsubres.field", "linsubres.poly",
-        "linsubres.fastsubres"}
-    assert not modules & NOT_FOR_COMPUTE
+    for basis in ("monomial", "bernstein"):
+        modules = loaded(COMPUTE + [f"--basis={basis}"])
+        assert {name for name in modules if name.split(".")[0] == "linsubres"} == {
+            "linsubres", "linsubres.errors", "linsubres.field", "linsubres.fastsubres"}
+        assert not modules & NOT_FOR_COMPUTE
 
 
-def test_cofactors_loads_what_compute_loads(loaded):
-    assert loaded(COMPUTE + ["--cofactors"]) == loaded(COMPUTE)
+def test_cofactors_adds_only_poly(loaded):
+    assert loaded(COMPUTE + ["--cofactors"]) - loaded(COMPUTE) == {"linsubres.poly"}
 
 
 def test_psres_adds_only_psres(loaded):
@@ -170,4 +170,4 @@ def test_records_keep_their_dataclass_behaviour():
         JacobiParams(-1, 0, 0)
     result = sres_fast(spec)
     assert result.prefactor is None
-    assert result.polynomial().coeffs == result.coeffs
+    assert DensePoly.of(result).coeffs == result.coeffs

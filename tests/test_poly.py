@@ -7,14 +7,10 @@ import operator
 import pytest
 
 from linsubres.check import _det, psres_oracle, sres_oracle
-from linsubres.errors import FieldMismatch, PreconditionError
+from linsubres.errors import BasisMismatch, FieldMismatch, PreconditionError
+from linsubres.fastsubres import ProblemSpec, sres_bernstein
 from linsubres.field import parse_field_spec, prime_field, rationals
-from linsubres.poly import (
-    DensePoly,
-    ProblemSpec,
-    poly_to_json,
-    power_of_linear,
-)
+from linsubres.poly import DensePoly, poly_to_json, power_of_linear
 
 Q = rationals()
 F7 = prime_field(7)
@@ -111,6 +107,12 @@ def test_problem_spec_validation():
         ProblemSpec(3, 2, 1, alpha, F7.element(2))
     spec = ProblemSpec(2, 2, 1, alpha, alpha)  # coincident roots allowed here
     assert spec.descriptor == Q
+
+
+def test_basis_mismatch_errors():
+    spec = ProblemSpec(3, 3, 1, Q.element(0), Q.element(1))
+    with pytest.raises(BasisMismatch, match=r"call sres_fast\(result\.spec\)"):
+        DensePoly.of(sres_bernstein(spec))
 
 
 def test_sres_oracle_resultant_closed_form():

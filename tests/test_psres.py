@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from linsubres.check import psres_oracle, psres_schedule
 from linsubres.errors import CharacteristicError, FieldMismatch, PreconditionError
-from linsubres.fastsubres import leading_coefficient_sd
+from linsubres.fastsubres import ProblemSpec, leading_coefficient_sd
 from linsubres.field import binary_pow, count_ops, prime_field, rationals
-from linsubres.poly import ProblemSpec, power_of_linear
+from linsubres.poly import power_of_linear
 from linsubres.psres import psres_all
 
 Q = rationals()
