@@ -367,17 +367,16 @@ def _check_pade(cap: int, k_stop: int):
                     "check": "pade", "m": m, "n": n, "k": k, "field": "q"}
 
 
-def _suite_oracle(max_degree: int, primes, rng: random.Random):
+def _suite_oracle(max_degree: int, fields, rng: random.Random):
     """Fast algorithms against the determinant definition, plus the Bezout
     identity and principal-subresultant vector, over Q and each F_p."""
-    fields = [rationals()] + [prime_field(p) for p in primes]
     for case in _cases(fields, max_degree, rng, 3):
         yield from _check_sres(*case)
         yield from _check_cofactors(*case)
         yield from _check_psres(*case)
 
 
-def _suite_jacobi(max_degree: int, primes, rng: random.Random):
+def _suite_jacobi(max_degree: int, fields, rng: random.Random):
     """Hypergeometric vs derivative evaluation, endpoint values, and the
     subresultant = scalar * shifted-Jacobi correspondence, over Q."""
     box = min(max_degree, 6)
@@ -389,15 +388,14 @@ def _suite_jacobi(max_degree: int, primes, rng: random.Random):
         yield from _check_correspondence(*case)
 
 
-def _suite_pade(max_degree: int, primes, rng: random.Random):
+def _suite_pade(max_degree: int, fields, rng: random.Random):
     """Rational-approximation identity for (1-x)^k, characteristic 0."""
     yield from _check_pade(min(max_degree, 5), max_degree + 3)
 
 
-def _suite_bernstein(max_degree: int, primes, rng: random.Random):
+def _suite_bernstein(max_degree: int, fields, rng: random.Random):
     """Pair-basis output: integrality over Z inputs and agreement of its
-    expansion with the monomial route."""
-    fields = [rationals()] + [prime_field(p) for p in primes]
+    expansion with the monomial route, over Q and each F_p."""
     for case in _cases(fields, max_degree, rng, 2):
         yield from _check_bernstein(*case)
 
@@ -412,14 +410,21 @@ _SUITES = {
 
 def run_verify(max_degree: int, primes, seed: int, suite: str) -> bool:
     """Run the suites, print one line per suite and a verdict, and the
-    first counterexample on a failure.  True when every case passed."""
+    first counterexample on a failure.  True when every case passed.
+    The degree box, the suite name and every prime are checked before
+    anything is printed."""
+    if max_degree < 1:
+        raise ValueError("max-degree must be >= 1")
+    if suite != "all" and suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from all, {', '.join(_SUITES)}")
+    fields = [rationals()] + [prime_field(p) for p in primes]
     rng = random.Random(seed)
     names = list(_SUITES) if suite == "all" else [suite]
     passed = total = 0
     first_failure = None
     for name in names:
         suite_passed = suite_total = 0
-        for ok, detail in _SUITES[name](max_degree, primes, rng):
+        for ok, detail in _SUITES[name](max_degree, fields, rng):
             suite_total += 1
             if ok:
                 suite_passed += 1
@@ -453,12 +458,21 @@ CSV_HEADER = list(BenchRow._fields)
 BENCH_ALGORITHMS = ("fast", "psres_all", "oracle")
 
 
+def _check_algorithms(algorithms) -> None:
+    """Refuse an empty list or a name outside BENCH_ALGORITHMS."""
+    if not algorithms or not set(algorithms) <= set(BENCH_ALGORITHMS):
+        raise ValueError(
+            f"bad algorithm list {algorithms!r}; choose from {', '.join(BENCH_ALGORITHMS)}")
+
+
 def run_bench(sizes, descriptor: FieldDescriptor, oracle_cutoff: int,
               algorithms=BENCH_ALGORITHMS, alpha=1, beta=2):
     """One row per (size, algorithm): m = n = size, d = size // 2, roots
     alpha and beta (values descriptor.element accepts; 1 and 2 by
     default).  Oracle runs are skipped above the cutoff.  A row's counts
-    and wall time cover the call alone: its inputs are built first."""
+    and wall time cover the call alone: its inputs are built first.  An
+    empty or unknown algorithm list raises ValueError before any run."""
+    _check_algorithms(algorithms)
     rows = []
     field_name = descriptor.spec_string()
     alpha = descriptor.element(alpha)

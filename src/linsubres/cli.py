@@ -20,7 +20,7 @@ import sys
 from contextlib import nullcontext
 
 from .errors import CharacteristicError, LinsubresError
-from .field import count_ops, parse_field_spec, prime_field
+from .field import count_ops, parse_field_spec
 from .fastsubres import ProblemSpec, result_to_json, sres_bernstein, sres_fast
 
 EXIT_OK = 0
@@ -85,10 +85,6 @@ def cmd_verify(args) -> int:
     from .check import run_verify
 
     primes = _parse_int_list(args.primes, "prime")
-    for p in primes:
-        prime_field(p)  # validates primality up front
-    if args.max_degree < 1:
-        raise ValueError("max-degree must be >= 1")
     if run_verify(args.max_degree, primes, args.seed, args.suite):
         return EXIT_OK
     return EXIT_VERIFY_FAILED
@@ -97,18 +93,13 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     import csv
 
-    from .check import BENCH_ALGORITHMS, CSV_HEADER, run_bench
+    from .check import CSV_HEADER, _check_algorithms, run_bench
 
     sizes = _parse_int_list(args.sizes, "size")
     if any(s < 1 for s in sizes):
         raise ValueError("sizes must be >= 1")
     algorithms = [part.strip() for part in args.algorithms.split(",") if part.strip()]
-    unknown = [a for a in algorithms if a not in BENCH_ALGORITHMS]
-    if unknown or not algorithms:
-        raise ValueError(
-            f"bad algorithm list {args.algorithms!r}; "
-            f"choose from {', '.join(BENCH_ALGORITHMS)}"
-        )
+    _check_algorithms(algorithms)  # before the CSV target is opened and truncated
     descriptor, alpha, beta = _roots(args)
     if alpha == beta:
         raise ValueError(f"bench needs distinct roots, have alpha = beta = {alpha}")

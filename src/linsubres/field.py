@@ -1,5 +1,8 @@
 """Exact coefficient fields (Q and F_p) with arithmetic-operation counting.
 
+Each field is one FieldDescriptor object, interned by its modulus, so
+values share a field exactly when their descriptors are one object.
+
 Every +, -, *, / on a FieldValue increments whatever OpCounter scopes are
 active on the current context, and a power (binary_pow) credits the
 multiplications of square and multiply.  Counting costs one ContextVar
@@ -194,33 +197,35 @@ def _parse_rational(text: str) -> Payload:
 
 class FieldDescriptor:
     """A concrete coefficient field, named by its modulus: None for the
-    rationals, a prime p < 2**64 for F_p."""
+    rationals, a prime p < 2**64 for F_p.  There is one descriptor per
+    field, compared by identity: FieldDescriptor(p) returns the object
+    every earlier call returned, and so do copy, deepcopy and pickle.
+    The modulus's type and range are checked before the lookup, its
+    primality only when the field is new."""
 
-    __slots__ = ("modulus", "_zero", "_one")
+    __slots__ = ("modulus", "characteristic", "zero", "one")
 
-    def __init__(self, modulus: int | None = None):
+    def __new__(cls, modulus: int | None = None):
         if modulus is not None:
             if not isinstance(modulus, int) or modulus < 2:
                 raise InvalidModulus(f"modulus must be an integer >= 2, got {modulus!r}")
             if modulus >= 2**64:
                 raise InvalidModulus(f"modulus {modulus} is >= 2**64")
-            if not _is_prime(modulus):
-                raise InvalidModulus(f"modulus {modulus} is not prime")
-        self.modulus = modulus
-        self._zero = FieldValue(self, 0 if modulus else Fraction(0))
-        self._one = FieldValue(self, 1 if modulus else Fraction(1))
+        field = _FIELDS.get(modulus)
+        if field is not None:
+            return field
+        if modulus is not None and not _is_prime(modulus):
+            raise InvalidModulus(f"modulus {modulus} is not prime")
+        field = super().__new__(cls)
+        field.modulus = modulus
+        field.characteristic = modulus or 0
+        field.zero = FieldValue(field, 0 if modulus else Fraction(0))
+        field.one = FieldValue(field, 1 if modulus else Fraction(1))
+        # two threads that build one new field both get the first stored
+        return _FIELDS.setdefault(modulus, field)
 
-    @property
-    def characteristic(self) -> int:
-        return self.modulus or 0
-
-    @property
-    def zero(self) -> "FieldValue":
-        return self._zero
-
-    @property
-    def one(self) -> "FieldValue":
-        return self._one
+    def __reduce__(self):
+        return FieldDescriptor, (self.modulus,)
 
     def element(self, value) -> "FieldValue":
         """Canonical injection of an int, a Fraction or a string.  Every
@@ -270,14 +275,6 @@ class FieldDescriptor:
     def spec_string(self) -> str:
         return "q" if self.modulus is None else f"fp:{self.modulus}"
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FieldDescriptor):
-            return NotImplemented
-        return self.modulus == other.modulus
-
-    def __hash__(self) -> int:
-        return hash(self.modulus)
-
     def __repr__(self) -> str:
         return f"FieldDescriptor({self.spec_string()!r})"
 
@@ -298,7 +295,7 @@ class FieldValue:
         return self.payload == 0
 
     def _check(self, other: "FieldValue") -> None:
-        if self.descriptor is not other.descriptor and self.descriptor != other.descriptor:
+        if self.descriptor is not other.descriptor:
             raise FieldMismatch(
                 f"mixed fields: {self.descriptor.spec_string()} and "
                 f"{other.descriptor.spec_string()}"
@@ -385,20 +382,15 @@ class FieldValue:
         return f"<{self} in {self.descriptor.spec_string()}>"
 
 
-_RATIONALS = FieldDescriptor()
-_PRIME_CACHE: dict = {}
+_FIELDS: dict = {}  # the one FieldDescriptor of each field built so far, by modulus
 
 
 def rationals() -> FieldDescriptor:
-    return _RATIONALS
+    return FieldDescriptor()
 
 
 def prime_field(p: int) -> FieldDescriptor:
-    desc = _PRIME_CACHE.get(p)
-    if desc is None:
-        desc = FieldDescriptor(p)
-        _PRIME_CACHE[p] = desc
-    return desc
+    return FieldDescriptor(p)
 
 
 def parse_field_spec(text: str) -> FieldDescriptor:

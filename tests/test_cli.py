@@ -318,6 +318,31 @@ def test_bench_rejects_bad_algorithms(capsys):
     assert "bad algorithm list" in capsys.readouterr().err
 
 
+def test_run_verify_checks_its_arguments_before_printing(capsys):
+    bad = [
+        (0, [11], "all", "max-degree"),
+        (-1, [11], "pade", "max-degree"),
+        (2, [11], "nope", "unknown suite 'nope'"),
+        (2, [4], "pade", "not prime"),
+        (2, [11, 2**64], "oracle", ">= 2\\*\\*64"),
+    ]
+    for max_degree, primes, suite, message in bad:
+        with pytest.raises(ValueError, match=message):
+            check.run_verify(max_degree, primes, 0, suite)
+    assert capsys.readouterr().out == ""
+
+
+def test_run_bench_refuses_a_bad_algorithm_list(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("run_bench timed a call before checking its algorithms")
+
+    for name in ("sres_fast", "psres_all", "sres_oracle"):
+        monkeypatch.setattr(check, name, no_work)
+    for algorithms in ((), ("slow",), ["fast", "slow"], "fast"):
+        with pytest.raises(ValueError, match="bad algorithm list"):
+            run_bench([4], prime_field(10007), 0, algorithms)
+
+
 def test_console_script_installed():
     path = shutil.which("linsubres")
     assert path, "console script linsubres not on PATH"

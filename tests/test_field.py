@@ -1,13 +1,17 @@
 """Field arithmetic, canonical forms, and operation counting."""
 
+import copy
+import pickle
 import random
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linsubres import field
 from linsubres.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -89,6 +93,64 @@ def test_modulus_validation():
         prime_field(2**64 + 13)  # beyond the deterministic primality range
     prime_field(2)
     prime_field(2**61 - 1)  # Mersenne prime inside the range
+
+
+def test_one_descriptor_per_field():
+    assert FieldDescriptor(7) is F7 is prime_field(7) is parse_field_spec("fp:7")
+    assert FieldDescriptor() is Q is parse_field_spec("q")
+    assert prime_field(10007) is prime_field(10007) is not prime_field(10009)
+    assert "__eq__" not in vars(FieldDescriptor) and "__hash__" not in vars(FieldDescriptor)
+
+
+def test_copies_and_pickles_are_the_interned_field():
+    for desc in (Q, F7, prime_field(2**61 - 1)):
+        modulus = desc.modulus
+        assert copy.copy(desc) is desc
+        assert copy.deepcopy(desc) is desc
+        assert pickle.loads(pickle.dumps(desc)) is desc
+        value = desc.element(3)
+        assert copy.deepcopy(value).descriptor is desc
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert desc.modulus == modulus
+    assert Q.modulus is None and Q.characteristic == 0 and Q.zero.payload == Fraction(0)
+
+
+def test_a_rejected_modulus_is_never_cached():
+    assert F7 is prime_field(7)  # F_7's entry exists, and 7.0 == 7
+    before = dict(field._FIELDS)
+    for bad in (4, 2**64, 7.0, True, "7", 1763):
+        for _ in range(2):
+            with pytest.raises(InvalidModulus):
+                FieldDescriptor(bad)
+    assert field._FIELDS == before
+    assert all(type(k) is int for k in field._FIELDS if k is not None)
+
+
+def test_two_threads_building_one_field_get_one_object(monkeypatch):
+    p = 999999937
+    assert p not in field._FIELDS
+    barrier = threading.Barrier(2)
+    is_prime = field._is_prime
+
+    def both_miss(q):
+        barrier.wait(timeout=10)  # both threads have missed the cache
+        return is_prime(q)
+
+    monkeypatch.setattr(field, "_is_prime", both_miss)
+    built = [None, None]
+
+    def build(i):
+        built[i] = FieldDescriptor(p)
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    monkeypatch.undo()
+    assert built[0] is built[1] is prime_field(p)
+    assert built[0].zero.descriptor is built[0]
 
 
 def test_characteristic():
