@@ -8,8 +8,6 @@ fast algorithms.  No request path imports this module; `verify` and
 `bench` load it when they run.
 """
 
-from __future__ import annotations
-
 import itertools
 import json
 import math

@@ -12,8 +12,6 @@ Exit codes: 0 success, 2 usage or invalid values, 3 unsupported
 characteristic case, 4 verification failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -176,11 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    # read `--alpha -5/2` as `--alpha=-5/2`; argparse takes -5/2 for an option
+    # read `--alpha -5/2` as `--alpha=-5/2`, and `--alpha -.5e1` too:
+    # argparse takes -5/2 and -.5e1 for options
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in ("--alpha", "--beta") and argv[i][:1] == "-" and argv[i][1:2].isdigit():
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+        value = argv[i]
+        if argv[i - 1] in ("--alpha", "--beta") and value[:1] == "-" and (
+                value[1:2].isdigit() or value[1:2] == "."):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={value}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

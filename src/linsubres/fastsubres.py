@@ -16,11 +16,8 @@ factorial_ratio, the chain c_j = c_{j-1} num_j / den_j (_ratio_chain, one
 inverse over F_p) and sres_fast's three-term recurrence (_recurrence_int).
 """
 
-from __future__ import annotations
-
 import enum
 from collections import namedtuple
-from fractions import Fraction
 from itertools import accumulate, compress
 from math import isqrt, lcm
 
@@ -173,7 +170,12 @@ def factorial_ratio(numerator, denominator, descriptor: FieldDescriptor) -> Fiel
     raises CharacteristicError; a positive one makes the numerator 0.
     The prime powers, mod p over F_p, meet in two balanced product trees
     (an order of magnitude faster than multiplying the factorials out).
-    Both routes end in one division num / den, one inverse over F_p.
+
+    Both routes meet at one exit per field.  Over F_p it is num * den^-1
+    mod p, one inverse: den is a unit on either route, a product of unit
+    factorials on the first, of powers of primes other than p on the
+    second (a net negative power of p has raised by then).  Over Q it is
+    Fraction(num, den), and fractions is imported on that branch only.
     """
     spans = [(r, 1) for r in numerator] + [(r, -1) for r in denominator]
     for r, _ in spans:
@@ -222,7 +224,11 @@ def factorial_ratio(numerator, denominator, descriptor: FieldDescriptor) -> Fiel
             if e:
                 (ups if e > 0 else downs).append(pow(q, abs(e), p or None))
         num, den = _product_tree(ups), _product_tree(downs)
-    return descriptor.element(Fraction(num, den))
+    if p:
+        return FieldValue(descriptor, num * pow(den, -1, p) % p)
+    from fractions import Fraction
+
+    return FieldValue(descriptor, Fraction(num, den))
 
 
 def principal_ratio(m: int, n: int, d: int, descriptor: FieldDescriptor) -> FieldValue:
@@ -391,6 +397,8 @@ def sres_fast(spec: ProblemSpec) -> SubresResult:
             if q == 1:
                 coeffs = descriptor.from_ints(ints)
             else:
+                from fractions import Fraction
+
                 out, den = [], q ** ((m - d) * (n - d))
                 for value in reversed(ints):
                     out.append(FieldValue(descriptor, Fraction(value, den)))

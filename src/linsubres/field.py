@@ -8,16 +8,18 @@ active on the current context, and a power (binary_pow) credits the
 multiplications of square and multiply.  Counting costs one ContextVar
 read per operation when no scope is active, so the fast paths stay usable
 inside the cubic-cost determinant oracle.
-"""
 
-from __future__ import annotations
+A payload is a residue int over F_p and a Fraction over Q.  fractions
+(and with it decimal and numbers) is imported on the first rational, by
+_fraction or the branch that reads one, so an F_p process with integer
+inputs never loads it.
+"""
 
 import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
-from fractions import Fraction
 from itertools import repeat
-from typing import Iterator, Union
+from typing import Iterator
 
 from .errors import (
     DivisionByZero,
@@ -142,9 +144,6 @@ def credit_ops(adds: int = 0, muls: int = 0, divs: int = 0, negs: int = 0) -> No
         c.negs += negs
 
 
-Payload = Union[Fraction, int]
-
-
 def _int_digit_cap() -> int:
     """The interpreter's int-to-str digit cap; 0 when there is none."""
     getter = getattr(sys, "get_int_max_str_digits", None)
@@ -165,7 +164,19 @@ def _int_text(n: int) -> str:
         return ("-" if n < 0 else "") + _int_text(high) + _int_text(low).zfill(k)
 
 
-def _parse_rational(text: str) -> Payload:
+def _fraction(*args) -> "Fraction":
+    """Fraction(*args), a Q payload.  The first call imports fractions and
+    rebinds this name to Fraction itself: an F_p process never loads
+    fractions (nor decimal and numbers, which it imports), and a Q process
+    pays for the import once, not per value."""
+    global _fraction
+    from fractions import Fraction
+
+    _fraction = Fraction
+    return Fraction(*args)
+
+
+def _parse_rational(text: str) -> "int | Fraction":
     """Fraction(text), the string reader of both fields, refusing, as
     int(text) does, a numerator or denominator past the int-to-str digit
     cap while there is one.  An exponent form ("1e5000") above cap +
@@ -185,7 +196,7 @@ def _parse_rational(text: str) -> Payload:
         _, mark, exponent = text.strip().lower().partition("e")
         if mark and abs(int(exponent)) > cap + len(text):
             raise PreconditionError(f"an exponent past the {cap}-digit input limit")
-    value = Fraction(text)
+    value = _fraction(text)
     if cap:
         big = max(abs(value.numerator), value.denominator)
         # a b-bit big is below 2^b <= 10^cap while 10 b <= 33 cap
@@ -219,8 +230,7 @@ class FieldDescriptor:
         field = super().__new__(cls)
         field.modulus = modulus
         field.characteristic = modulus or 0
-        field.zero = FieldValue(field, 0 if modulus else Fraction(0))
-        field.one = FieldValue(field, 1 if modulus else Fraction(1))
+        field.zero, field.one = field.from_ints((0, 1))
         # two threads that build one new field both get the first stored
         return _FIELDS.setdefault(modulus, field)
 
@@ -233,7 +243,9 @@ class FieldDescriptor:
         forms ("3", "-5/2", "2.5", "1e5", with sign, spaces and
         underscores) under the same int-to-str digit cap.  Over F_p a
         rational a/b is a * b^-1, and a b divisible by p raises
-        DivisionByZero.  Idempotent on FieldValues of this same field."""
+        DivisionByZero.  Idempotent on FieldValues of this same field.
+        An int over F_p is reduced mod p before anything else, and
+        fractions is imported only for a Q value or a rational input."""
         if isinstance(value, FieldValue):
             if value.descriptor != self:
                 raise FieldMismatch(f"value from {value.descriptor} injected into {self}")
@@ -244,7 +256,9 @@ class FieldDescriptor:
             value = _parse_rational(value)
         p = self.modulus
         if isinstance(value, int):
-            return FieldValue(self, Fraction(value) if p is None else value % p)
+            return FieldValue(self, value % p if p else _fraction(value))
+        from fractions import Fraction
+
         if not isinstance(value, Fraction):
             raise TypeError(f"cannot inject {type(value).__name__} into {self}")
         if p is None:
@@ -257,7 +271,7 @@ class FieldDescriptor:
         """Wrap canonical payloads, unchecked: integers over Q, residues
         already in [0, p) over F_p (the output of an integer kernel)."""
         if not self.modulus:
-            values = map(Fraction, values)
+            values = map(_fraction, values)
         return tuple(map(FieldValue, repeat(self), values))
 
     def from_str(self, text: str) -> "FieldValue":
@@ -287,7 +301,7 @@ class FieldValue:
 
     __slots__ = ("descriptor", "payload")
 
-    def __init__(self, descriptor: FieldDescriptor, payload: Payload):
+    def __init__(self, descriptor: FieldDescriptor, payload: "int | Fraction"):
         self.descriptor = descriptor
         self.payload = payload
 

@@ -10,8 +10,6 @@ are counted FieldValue products: integer parameters stay in Z, and only
 the values that enter the arithmetic are injected into the field.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from fractions import Fraction

@@ -9,8 +9,6 @@ determinant-definition oracles that check the fast algorithms live in
 linsubres.check.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

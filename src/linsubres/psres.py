@@ -30,8 +30,6 @@ with, builds both chains index by index in FieldValue arithmetic;
 psres_all credits the active count_ops scopes with its op tally.
 """
 
-from __future__ import annotations
-
 from math import comb, gcd
 
 from .errors import CharacteristicError

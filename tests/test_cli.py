@@ -444,14 +444,17 @@ def test_python_dash_m_linsubres():
     ["psres", "--m", "4", "--n", "3"],
 ])
 def test_negative_values_after_a_space(capsys, head):
-    """`--alpha -5/2` parses as `--alpha=-5/2`, for --beta and psres too."""
-    outputs = []
-    for tail in (["--alpha", "-5/2", "--beta", "-7"], ["--alpha=-5/2", "--beta=-7"],
-                 ["--beta", "-7", "--alpha", "-5/2"]):
-        assert main(head + tail) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] == outputs[2]
-    assert json.loads(outputs[0])["alpha"] in ("-5/2", str(prime_field(101).from_str("-5/2")))
+    """`--alpha -5/2` parses as `--alpha=-5/2`, for --beta and psres too,
+    and so does a value with a leading dot, `--alpha -.5e1`."""
+    for alpha in ("-5/2", "-.5e1"):
+        outputs = []
+        for tail in (["--alpha", alpha, "--beta", "-7"], [f"--alpha={alpha}", "--beta=-7"],
+                     ["--beta", "-7", "--alpha", alpha]):
+            assert main(head + tail) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0])["alpha"] in {
+            str(field.from_str(alpha)) for field in (rationals(), prime_field(101))}
 
 
 SWEEP_SHA256 = "e1a910fde07d3266073726a1d82685b677c57cd36775718831abc9009f838ae7"

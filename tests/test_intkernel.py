@@ -234,6 +234,43 @@ def test_q_outputs_match_the_recorded_pins(entry, m, n, d, a, b, tally, digest):
     assert _tally(counter) == tally
 
 
+# Bezout cofactors recorded while they ran the quadratic pair-basis
+# expansion, so that a linear route lands against fixed values: the sha256
+# of the comma-joined f then g payloads, residues over F_p and hex
+# "numerator/denominator" over Q.  Generic over F_1000003, the boundary
+# prime 37 = m+n-d-1 and the vanishing band (F = G = 0 at p = 41, an empty
+# join), the d = 0 gap over F_7, and Q with integer and rational roots.
+# Values only: the op count of a new route is RECORDED_OPS' business.
+COF_PINS = [
+    (160, 120, 40, "fp:1000003", "123456", "-98765",
+     "873a1f5f2a5cb3b2a4ce4c7e2ede3fbbb68fb5a4ca06fbcd8aeaa05e069e3aa9"),
+    (133, 148, 50, "fp:1000003", "31", "41",
+     "b10e77acd4a8943dfa92ac38285234c5bf989010d32ec338b9cbb2ffb9d52d70"),
+    (30, 25, 17, "fp:37", "3", "-2",
+     "8adad1fe4fe1bc8b9ba47a2aa997b13216e162150d62e96e3064ea030ff7eb43"),
+    (30, 25, 10, "fp:41", "3", "-2",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (5, 4, 0, "fp:7", "3", "-2",
+     "26925675505b28d17703185df5c609c406892188343ef9e132ff7f215379f210"),
+    (96, 80, 30, "q", "3", "-2",
+     "b37bbf65396ca1e32f8172a8f4fa9d2d525263729560e6f95c6f5ecce22c6cc7"),
+    (40, 33, 17, "q", "1/2", "-1/3",
+     "1cb0718596d351dce31cacf4ff1ba76e47ef27903b0396a5219a8659b1ebbe0b"),
+]
+
+
+@pytest.mark.parametrize("m, n, d, field, a, b, digest", COF_PINS)
+def test_cofactors_match_the_recorded_pins(m, n, d, field, a, b, digest):
+    descriptor = parse_field_spec(field)
+    pair = cofactors(ProblemSpec(m, n, d, *_roots(descriptor, a, b)))
+    values = [v.payload for v in pair.f.coeffs + pair.g.coeffs]
+    if descriptor.modulus:
+        joined = ",".join(map(str, values))
+    else:
+        joined = ",".join(f"{v.numerator:x}/{v.denominator:x}" for v in values)
+    assert hashlib.sha256(joined.encode()).hexdigest() == digest
+
+
 def _fieldvalue_recurrence(spec):
     """Reference: sres_fast's FieldValue loop, which ran the recurrence over
     F_p and over Q with rational roots before the integer kernel (for

@@ -24,6 +24,8 @@ ROOTS = ["--m=8", "--n=6", "--alpha=1", "--beta=2", "--field=fp:1000003"]
 COMPUTE = ["-m", "linsubres.cli", "compute", "--d=3", *ROOTS]
 NOT_FOR_COMPUTE = {"linsubres.check", "linsubres.jacobi", "linsubres.psres",
                    "dataclasses", "inspect", "csv"}
+# fractions imports decimal (and _decimal) and numbers; no module needs __future__
+RATIONAL_STACK = {"fractions", "decimal", "numbers", "__future__"}
 
 
 def imported(args) -> set:
@@ -58,6 +60,26 @@ def test_cofactors_adds_only_poly(loaded):
 def test_psres_adds_only_psres(loaded):
     psres = ["-m", "linsubres.cli", "psres", *ROOTS]
     assert loaded(psres) - loaded(COMPUTE) == {"linsubres.psres"}
+
+
+def test_fp_requests_load_no_fractions(loaded):
+    """No F_p request with integer roots builds a Fraction."""
+    psres = ["-m", "linsubres.cli", "psres", *ROOTS]
+    for args in (COMPUTE, COMPUTE + ["--basis=bernstein"], COMPUTE + ["--cofactors"], psres):
+        assert not loaded(args) & RATIONAL_STACK, args
+
+
+def test_q_compute_still_loads_fractions(loaded):
+    modules = loaded([arg for arg in COMPUTE if not arg.startswith("--field=")])
+    assert "fractions" in modules and "__future__" not in modules
+
+
+def test_no_module_imports_future(loaded):
+    assert "__future__" not in loaded(["-c", "import linsubres"])
+    future = [path.name for path in sorted((SRC / "linsubres").glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.ImportFrom) and node.module == "__future__"]
+    assert not future, future
 
 
 @pytest.mark.parametrize("command", [["verify", "--max-degree", "1"], ["bench", "--sizes", "4"]])
