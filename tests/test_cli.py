@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from linsubres import check
+from linsubres import check, cli
 from linsubres.check import CSV_HEADER, run_bench
 from linsubres.cli import main
 from linsubres.fastsubres import ProblemSpec, leading_coefficient_sd, sres_fast
@@ -161,6 +161,82 @@ def test_missing_arguments_exit_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["compute", "--m", "2"])
     assert excinfo.value.code == 2
+
+
+HEAD = ["compute", "--m=4", "--n=3", "--d=1", "--alpha=1", "--beta=2"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # help: exits 0 and names every option
+    (["-h"], 0), (["--help"], 0), (["compute", "-h"], 0), (["psres", "--help"], 0),
+    (["verify", "-h"], 0), (["bench", "--sizes=4", "-h"], 0),
+    # the parsed values: defaults, abbreviations, last wins, a value after a space
+    (HEAD, {"m": 4, "field": "q", "basis": "monomial", "cofactors": False}),
+    (HEAD + ["--cof", "--bas", "bernstein", "--fi=fp:7"],
+     {"cofactors": True, "basis": "bernstein", "field": "fp:7"}),
+    (["verify", "--max-deg", "3", "--su=pade"], {"max_degree": 3, "suite": "pade"}),
+    (["bench", "--oracle", "8", "--alg=fast"],
+     {"oracle_cutoff": 8, "algorithms": "fast", "csv": None, "field": "fp:10007"}),
+    (HEAD + ["--m=7", "--m", "9", "--a=3"], {"m": 9, "alpha": "3"}),
+    (HEAD + ["--alpha", "-5/2", "--beta", "-.5e1"], {"alpha": "-5/2", "beta": "-.5e1"}),
+    (HEAD + ["--alpha", "-h"], {"alpha": "-h"}),
+    (["compute", "--m", "-3", "--n=3", "--d=1", "--alpha=1", "--beta=2"], {"m": -3}),
+    # parses, then ProblemSpec refuses m = -3
+    (["compute", "--m", "-3", "--n=3", "--d=1", "--alpha=1", "--beta=2"], "returns 2"),
+    # usage errors
+    ([], 2), (["nope"], 2), (["--m=1"], 2), (["Compute"] + HEAD[1:], 2),
+    (HEAD + ["--b=x"], 2), (["verify", "--s", "1"], 2),
+    (["bench", "--al=1"], 2), (HEAD + ["--nope=1"], 2), (HEAD + ["stray"], 2),
+    (HEAD + ["-m", "4"], 2), (HEAD + ["--"], 2), (HEAD + ["--=1"], 2),
+    (["compute", "--m", "2"], 2), (HEAD[:-1], 2), (HEAD + ["--m=x"], 2),
+    (HEAD + ["--m=2.0"], 2), (HEAD + ["--d", ""], 2), (HEAD + ["--basis=cubic"], 2),
+    (["verify", "--suite", "every"], 2), (HEAD + ["--cofactors=x"], 2),
+    (HEAD + ["--field"], 2), (HEAD + ["--field", "--cofactors"], 2),
+    (HEAD + ["--alpha", "--5"], 2), (["psres", "--d=1", "--m=2", "--n=2", "--alpha=1",
+                                      "--beta=2"], 2),
+])
+def test_parser_contract(capsys, argv, expected):
+    """What a command line parses to, or how it exits: -h prints every
+    option of the command (of every command at the top level) and exits
+    0; a usage error prints a usage line and the error to stderr and
+    raises SystemExit(2) from parsing."""
+    if isinstance(expected, dict):
+        handler, values = cli.parse_argv(argv)
+        assert handler is cli.COMMANDS[argv[0]][0]
+        assert {name: values[name] for name in expected} == expected
+        return
+    if expected == "returns 2":
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        return
+    with pytest.raises(SystemExit) as excinfo:
+        cli.parse_argv(argv)
+    assert excinfo.value.code == expected
+    out, err = capsys.readouterr()
+    if expected == 2:
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 2
+        assert lines[0].startswith("usage: linsubres") and ": error: " in lines[1]
+        return
+    assert err == ""
+    blocks = {block.split(":")[0]: block.splitlines() for block in out.split("\n\n")}
+    for command in argv[:1] if argv[0] in cli.COMMANDS else cli.COMMANDS:
+        _, text, options = cli.COMMANDS[command]
+        assert blocks[command][0] == f"{command}: {text}"
+        lines = {line.split()[0]: line for line in blocks[command][1:]}
+        assert list(lines) == [f"--{name}" for name in options]
+        for name, (_, default, note) in options.items():
+            assert note in lines[f"--{name}"]
+            if default is not None:
+                shown = "(required)" if default is cli.REQUIRED else f"(default: {default})"
+                assert lines[f"--{name}"].endswith(shown)
+
+
+def test_option_choices_follow_check():
+    """The table's --suite choices and --algorithms default are check's."""
+    suites = cli.COMMANDS["verify"][2]["suite"][0]
+    assert list(suites) == [*check._SUITES, "all"]
+    assert cli.COMMANDS["bench"][2]["algorithms"][1] == ",".join(check.BENCH_ALGORITHMS)
 
 
 def test_verify_small_run(capsys):

@@ -63,10 +63,23 @@ def test_psres_adds_only_psres(loaded):
 
 
 def test_fp_requests_load_no_fractions(loaded):
-    """No F_p request with integer roots builds a Fraction."""
+    """No F_p request with integer roots, or roots written a/b, builds a
+    Fraction."""
     psres = ["-m", "linsubres.cli", "psres", *ROOTS]
-    for args in (COMPUTE, COMPUTE + ["--basis=bernstein"], COMPUTE + ["--cofactors"], psres):
+    ratios = COMPUTE + ["--alpha=-5/2", "--beta=7/3"]
+    for args in (COMPUTE, COMPUTE + ["--basis=bernstein"], COMPUTE + ["--cofactors"], psres,
+                 ratios):
         assert not loaded(args) & RATIONAL_STACK, args
+
+
+@pytest.mark.parametrize("field", ["--field=fp:1000003", "--field=q"])
+def test_requests_load_no_argparse(loaded, field):
+    """The CLI reads its options without argparse, and so without gettext
+    and locale, which argparse's first parser loads."""
+    for command in (["compute", "--d=3"], ["compute", "--d=3", "--basis=bernstein"],
+                    ["compute", "--d=3", "--cofactors"], ["psres"]):
+        args = ["-m", "linsubres.cli", *command, *ROOTS, field]
+        assert not loaded(args) & {"argparse", "gettext", "locale"}, args
 
 
 def test_q_compute_still_loads_fractions(loaded):
