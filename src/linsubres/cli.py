@@ -200,10 +200,10 @@ def _usage_error(command, message: str):
 def parse_argv(argv) -> tuple:
     """(handler, keyword arguments) of a command line, read by COMMANDS.
     An option is --name=value or --name value, where the value is the
-    next token unless it starts with "--"; a unique prefix of a name
-    stands for it, and the last of repeated options wins.  -h or --help
-    prints the help and exits 0; a usage error prints the usage and the
-    error to stderr and exits 2."""
+    next token unless it starts with "--" or is -h; a unique prefix of a
+    name stands for it, and the last of repeated options wins.  -h or
+    --help prints the help and exits 0; a usage error prints the usage
+    and the error to stderr and exits 2."""
     command = argv[0] if argv else None
     if command in ("-h", "--help"):
         print(_help(None))
@@ -236,7 +236,7 @@ def parse_argv(argv) -> tuple:
             continue
         if not has_value:
             value = next(tokens, "--")  # at the end, as if an option followed
-            if value.startswith("--"):
+            if value.startswith("--") or value == "-h":
                 _usage_error(command, f"--{name} expects a value")
         if kind is int:
             try:

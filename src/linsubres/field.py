@@ -11,8 +11,8 @@ inside the cubic-cost determinant oracle.
 
 A payload is a residue int over F_p and a Fraction over Q.  fractions
 (and with it decimal and numbers) is imported on the first rational, by
-_fraction or the branch that reads one, so an F_p process whose inputs
-are integers or written a/b never loads it.
+_fraction or the branch that reads one, so an F_p process with integer
+inputs never loads it.
 """
 
 import sys
@@ -206,24 +206,6 @@ def _parse_rational(text: str) -> "int | Fraction":
     return value
 
 
-def _ratio_mod(text: str, p: int) -> "int | None":
-    """a * b^-1 mod p of a text "a/b" of Fraction's shape (an optional
-    sign, digits with single underscores, "/", digits, whitespace only
-    around the whole), read as two ints, so that no F_p value written
-    as a fraction loads fractions.  None for every other text, for a
-    part int refuses (past the digit cap included) and for a b
-    divisible by p: _parse_rational reads those."""
-    num, _, den = text.strip().partition("/")
-    digits = num[1:] if num[:1] in ("+", "-") else num
-    if not (digits.replace("_", "").isdecimal() and den.replace("_", "").isdecimal()):
-        return None
-    try:
-        num, den = int(num), int(den)
-    except ValueError:
-        return None
-    return num * pow(den, -1, p) % p if den % p else None
-
-
 class FieldDescriptor:
     """A concrete coefficient field, named by its modulus: None for the
     rationals, a prime p < 2**64 for F_p.  There is one descriptor per
@@ -257,27 +239,22 @@ class FieldDescriptor:
 
     def element(self, value) -> "FieldValue":
         """Canonical injection of an int, a Fraction or a string.  Every
-        string is read as _parse_rational reads it, so both fields take
-        the same forms ("3", "-5/2", "2.5", "1e5", with sign, spaces and
+        string is read by _parse_rational, so both fields take the same
+        forms ("3", "-5/2", "2.5", "1e5", with sign, spaces and
         underscores) under the same int-to-str digit cap.  Over F_p a
         rational a/b is a * b^-1, and a b divisible by p raises
         DivisionByZero.  Idempotent on FieldValues of this same field.
-        An int over F_p is reduced mod p before anything else, and a text
-        "a/b" by _ratio_mod, so fractions is imported only for a Q value,
-        a Fraction input, or a decimal or exponent form."""
+        An int over F_p is reduced mod p before anything else, and
+        fractions is imported only for a Q value or a rational input."""
         if isinstance(value, FieldValue):
             if value.descriptor != self:
                 raise FieldMismatch(f"value from {value.descriptor} injected into {self}")
             return value
         if isinstance(value, bool):
             raise TypeError("bool is not a field element")
-        p = self.modulus
         if isinstance(value, str):
-            if p and "/" in value:
-                residue = _ratio_mod(value, p)
-                if residue is not None:
-                    return FieldValue(self, residue)
             value = _parse_rational(value)
+        p = self.modulus
         if isinstance(value, int):
             return FieldValue(self, value % p if p else _fraction(value))
         from fractions import Fraction

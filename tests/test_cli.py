@@ -179,7 +179,6 @@ HEAD = ["compute", "--m=4", "--n=3", "--d=1", "--alpha=1", "--beta=2"]
      {"oracle_cutoff": 8, "algorithms": "fast", "csv": None, "field": "fp:10007"}),
     (HEAD + ["--m=7", "--m", "9", "--a=3"], {"m": 9, "alpha": "3"}),
     (HEAD + ["--alpha", "-5/2", "--beta", "-.5e1"], {"alpha": "-5/2", "beta": "-.5e1"}),
-    (HEAD + ["--alpha", "-h"], {"alpha": "-h"}),
     (["compute", "--m", "-3", "--n=3", "--d=1", "--alpha=1", "--beta=2"], {"m": -3}),
     # parses, then ProblemSpec refuses m = -3
     (["compute", "--m", "-3", "--n=3", "--d=1", "--alpha=1", "--beta=2"], "returns 2"),
@@ -192,8 +191,9 @@ HEAD = ["compute", "--m=4", "--n=3", "--d=1", "--alpha=1", "--beta=2"]
     (HEAD + ["--m=2.0"], 2), (HEAD + ["--d", ""], 2), (HEAD + ["--basis=cubic"], 2),
     (["verify", "--suite", "every"], 2), (HEAD + ["--cofactors=x"], 2),
     (HEAD + ["--field"], 2), (HEAD + ["--field", "--cofactors"], 2),
-    (HEAD + ["--alpha", "--5"], 2), (["psres", "--d=1", "--m=2", "--n=2", "--alpha=1",
-                                      "--beta=2"], 2),
+    (HEAD + ["--alpha", "--5"], 2), (HEAD + ["--alpha", "-h"], 2),
+    (["bench", "--csv", "-h"], 2),
+    (["psres", "--d=1", "--m=2", "--n=2", "--alpha=1", "--beta=2"], 2),
 ])
 def test_parser_contract(capsys, argv, expected):
     """What a command line parses to, or how it exits: -h prints every

@@ -244,53 +244,6 @@ def test_integer_texts_read_as_fraction_reads_them():
     assert Q.from_str("-007").payload == Fraction(-7)
 
 
-def _reading(F, text):
-    """F.element(text) and F.from_str(text): each value, or the type and
-    message of each error."""
-    out = []
-    for read in (F.element, F.from_str):
-        try:
-            out.append(read(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            out.append((type(exc), str(exc)))
-    return out
-
-
-def test_prime_fields_read_ratios_as_the_fraction_route_did(monkeypatch):
-    """Over F_p a text "a/b" is read as two ints, without fractions.  Every
-    text of the corpus gives the value, or the error type and message,
-    that the Fraction route gives (_ratio_mod off), under caps 4300, 640
-    and none: the other shapes, parts past the cap, b = 0 and b divisible
-    by p included."""
-    texts = ["-5/2", "7/3", "+1_000/3_3", " 5/2 ", "\t-7/9\n", "0/5", "-0/7", "005/002",
-             "1 /2", "1/ 2", "1 / 2", "1/-2", "1/+2", "- 1/2", "+-1/2", "--1/2", "1/0",
-             "0/0", "-3/0", "1__0/3", "_1/2", "1_/2", "1/_2", "1/2_", "1/2__0", "/2", "2/",
-             "/", "-/2", "1/2/3", "1.5/2", "1/2.5", "1/2e3", "1e3/2", "x/2", "1/x",
-             "\u0661/\u0662", "\u00b2/3", "0x1/2", "1/0b1", "5\u200b/2",
-             "\u00a05/2\u2003", "-5/2", "2.5", "1e5"]
-    cap = sys.get_int_max_str_digits()
-    try:
-        for limit in (DEFAULT_INT_STR_CAP, 640, 0):
-            sys.set_int_max_str_digits(limit)
-            corpus = list(texts)
-            for digits in (limit - 1, limit, limit + 1) if limit else (5000,):
-                corpus += ["9" * digits + "/7", "-7/" + "8" * digits,
-                           "1_" * (digits - 1) + "1/3", "0" * digits + "1/2"]
-            for p in (101, 1000003):
-                F = prime_field(p)
-                cases = corpus + [f"1/{p}", f"-{2 * p}/{p}", f"{p}/{2 * p}", f"3/{p * p}"]
-                got = [_reading(F, text) for text in cases]
-                with monkeypatch.context() as patch:
-                    patch.setattr(field, "_ratio_mod", lambda text, p: None)
-                    assert got == [_reading(F, text) for text in cases]
-    finally:
-        sys.set_int_max_str_digits(cap)
-    assert field._ratio_mod(" -5/2 ", 101) == -5 * pow(2, -1, 101) % 101
-    assert [field._ratio_mod(text, 101) for text in ("1 /2", "1/-2", "2.5", "1/101")] == [
-        None] * 4
-    assert Q.from_str("-5/2").payload == Fraction(-5, 2)
-
-
 def test_int_text_is_the_uncapped_str():
     """_int_text prints what str prints with the digit cap lifted, under
     any cap: random ints of 1 to 200k bits of both signs, 0, and 10^j,

@@ -63,12 +63,9 @@ def test_psres_adds_only_psres(loaded):
 
 
 def test_fp_requests_load_no_fractions(loaded):
-    """No F_p request with integer roots, or roots written a/b, builds a
-    Fraction."""
+    """No F_p request with integer roots builds a Fraction."""
     psres = ["-m", "linsubres.cli", "psres", *ROOTS]
-    ratios = COMPUTE + ["--alpha=-5/2", "--beta=7/3"]
-    for args in (COMPUTE, COMPUTE + ["--basis=bernstein"], COMPUTE + ["--cofactors"], psres,
-                 ratios):
+    for args in (COMPUTE, COMPUTE + ["--basis=bernstein"], COMPUTE + ["--cofactors"], psres):
         assert not loaded(args) & RATIONAL_STACK, args
 
 
