@@ -14,12 +14,18 @@ writes the -h text from it.  argparse is not used: its import and first
 parser (which loads gettext and locale) cost a request more than the
 arithmetic of the sizes it usually asks for.
 
+compute and psres print their document through one writer, json_text,
+which writes what json.dumps writes for the only shapes they print
+(dicts with str keys, lists, ints, and strs that need no escaping) and
+refuses every other value.  json is not imported on the request path: its
+import compiles the decoder's and encoder's regexes and loads _json, for
+one call on a flat document.
+
 Exit codes: 0 success, 2 usage or invalid values, 3 unsupported
 characteristic case, 4 verification failure.  A usage error found while
 reading the options raises SystemExit(2) after printing a usage line.
 """
 
-import json
 import sys
 from contextlib import nullcontext
 
@@ -49,6 +55,31 @@ def _roots(field: str, alpha: str, beta: str):
     return descriptor, descriptor.from_str(alpha), descriptor.from_str(beta)
 
 
+def json_text(document) -> str:
+    """json.dumps(document) for the documents compute and psres print:
+    dicts with str keys, lists, ints and strs that JSON writes as they
+    are (printable ASCII without '"' or '\\', as every decimal value, field
+    spec and enum value is).  Any other type, bool included, is a
+    TypeError, and a str that would need escaping a ValueError."""
+    kind = type(document)
+    if kind is int:
+        return str(document)
+    if kind is str:
+        if (document.isascii() and document.isprintable()
+                and '"' not in document and "\\" not in document):
+            return f'"{document}"'
+        raise ValueError(f"the JSON writer does not escape strings, got {document[:40]!r}")
+    if kind is list:
+        return f"[{', '.join(map(json_text, document))}]"
+    if kind is dict:
+        for key in document:
+            if type(key) is not str:
+                raise TypeError(f"a JSON key must be a str, got {type(key).__name__}")
+        return "{" + ", ".join(f"{json_text(key)}: {json_text(value)}"
+                               for key, value in document.items()) + "}"
+    raise TypeError(f"the JSON writer takes no {kind.__name__}")
+
+
 def cmd_compute(m, n, d, alpha, beta, field, basis, cofactors) -> int:
     _, alpha, beta = _roots(field, alpha, beta)
     spec = ProblemSpec(m, n, d, alpha, beta)
@@ -62,7 +93,7 @@ def cmd_compute(m, n, d, alpha, beta, field, basis, cofactors) -> int:
 
         pair = poly.cofactors(spec)
         payload["cofactors"] = {"f": poly.poly_to_json(pair.f), "g": poly.poly_to_json(pair.g)}
-    print(json.dumps(payload))
+    print(json_text(payload))
     return EXIT_OK
 
 
@@ -81,7 +112,7 @@ def cmd_psres(m, n, alpha, beta, field) -> int:
         "psres": [str(v) for v in values],
         "ops": counter.as_dict(),
     }
-    print(json.dumps(payload))
+    print(json_text(payload))
     return EXIT_OK
 
 

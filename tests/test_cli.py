@@ -566,3 +566,49 @@ def test_cli_sweep_is_byte_identical(capsys):
         digest.update(f"{' '.join(argv)}\0{code}\0{out}\0".encode())
     assert codes == {0, 3}
     assert digest.hexdigest() == SWEEP_SHA256
+
+
+def test_json_writer_is_json_dumps(monkeypatch, capsys):
+    """The CLI's JSON writer prints what json.dumps prints, at every level
+    of every document of a small sweep: compute on both bases and with
+    --cofactors, and psres, over F_p (generic, boundary and vanishing
+    cases), over Q with integer and with rational roots, and a Q
+    coefficient past the 4300-digit int-to-str cap."""
+    writer = cli.json_text
+
+    def checked(document):
+        text = writer(document)
+        assert text == json.dumps(document)
+        return text
+
+    monkeypatch.setattr(cli, "json_text", checked)
+    requests = [["compute", "--m=256", "--n=256", "--d=128", "--alpha=1", "--beta=2"]]
+    for field, alpha, beta in [("fp:5", "1", "3"), ("fp:1000003", "5", "-123456"),
+                               ("q", "3", "-2"), ("q", "-7/9", "5/8")]:
+        common = ["--m=5", "--n=4", f"--alpha={alpha}", f"--beta={beta}", f"--field={field}"]
+        if field != "fp:5":  # psres needs p >= m + n
+            requests.append(["psres", *common])
+        for d in range(4):
+            for extra in ([], ["--basis=bernstein"], ["--cofactors"]):
+                requests.append(["compute", *common, f"--d={d}", *extra])
+    cases, longest = set(), 0
+    for argv in requests:
+        code, out = main(argv), capsys.readouterr().out
+        if code == 3:  # the pair basis below the generic case: no document
+            assert "--basis=bernstein" in argv and not out, argv
+            continue
+        assert code == 0, argv
+        document = json.loads(out)
+        cases.add(document.get("case"))
+        longest = max([longest, *map(len, document.get("coeffs", []))])
+    assert cases == {None, "generic", "boundary", "vanishing"}
+    assert longest > 4300
+
+
+@pytest.mark.parametrize("document", [
+    True, None, 1.5, 'a"b', "a\\b", "a\nb", "é", "\x7f",
+    {"m": False}, {"ops": {"add": None}}, [1, 2.0], ["1", '"'], {1: "one"}, (1, 2),
+])
+def test_json_writer_refuses_what_it_does_not_write(document):
+    with pytest.raises((TypeError, ValueError)):
+        cli.json_text(document)
