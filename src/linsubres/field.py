@@ -19,7 +19,6 @@ import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import repeat
-from typing import Iterator
 
 from .errors import (
     DivisionByZero,
@@ -119,7 +118,7 @@ _counters: ContextVar[tuple] = ContextVar("linsubres_op_counters", default=())
 
 
 @contextmanager
-def count_ops() -> Iterator[OpCounter]:
+def count_ops() -> "Iterator[OpCounter]":
     """Activate a fresh OpCounter for the dynamic extent of the block.
 
     Scopes nest: an operation inside two nested scopes increments both
