@@ -14,12 +14,10 @@ writes the -h text from it.  argparse is not used: its import and first
 parser (which loads gettext and locale) cost a request more than the
 arithmetic of the sizes it usually asks for.
 
-compute and psres print their document through one writer, json_text,
-which writes what json.dumps writes for the only shapes they print
-(dicts with str keys, lists, ints, and strs that need no escaping) and
-refuses every other value.  json is not imported on the request path: its
-import compiles the decoder's and encoder's regexes and loads _json, for
-one call on a flat document.
+compute and psres print their document through json_text, which writes
+what json.dumps writes for the shapes they print.  json is not imported
+on the request path: its import compiles the decoder's and encoder's
+regexes and loads _json, for one call on a flat document.
 
 Exit codes: 0 success, 2 usage or invalid values, 3 unsupported
 characteristic case, 4 verification failure.  A usage error found while
@@ -59,8 +57,9 @@ def json_text(document) -> str:
     """json.dumps(document) for the documents compute and psres print:
     dicts with str keys, lists, ints and strs that JSON writes as they
     are (printable ASCII without '"' or '\\', as every decimal value, field
-    spec and enum value is).  Any other type, bool included, is a
-    TypeError, and a str that would need escaping a ValueError."""
+    spec and enum value is).  Any other value, bool and a str that would
+    need escaping included, is a TypeError: only a defect in the program
+    can hand the writer one, so it is not reported as a usage error."""
     kind = type(document)
     if kind is int:
         return str(document)
@@ -68,7 +67,7 @@ def json_text(document) -> str:
         if (document.isascii() and document.isprintable()
                 and '"' not in document and "\\" not in document):
             return f'"{document}"'
-        raise ValueError(f"the JSON writer does not escape strings, got {document[:40]!r}")
+        raise TypeError(f"the JSON writer does not escape strings, got {document[:40]!r}")
     if kind is list:
         return f"[{', '.join(map(json_text, document))}]"
     if kind is dict:

@@ -149,28 +149,19 @@ def _int_digit_cap() -> int:
     return getter() if getter else 0
 
 
-# Past this many bits _int_text converts in decimal, whose products of big
-# operands are subquadratic, and a 60k-bit int already converts as fast
-# there as by the split; leaves of _DECIMAL_LEAF bits go to Decimal(int).
-_DECIMAL_BITS = 60_000
+# Leaves of this many bits or fewer go to Decimal(int) in _decimal_text.
 _DECIMAL_LEAF = 1024
 
 
 def _int_text(n: int) -> str:
     """str(n) at any size, without lifting the int-to-str digit cap: the
     cap guards parsing against quadratic-time denial of service, and
-    output needs no exemption from it.  Past the cap, n is split in
-    decimal, divmod(|n|, 10**k) with k about half its digits, and each
-    part printed the same way, the low part zero-padded to k digits;
-    past _DECIMAL_BITS, _decimal_text prints it."""
+    output needs no exemption from it.  Past the cap, _decimal_text
+    prints n."""
     try:
         return str(n)
     except ValueError:
-        if n.bit_length() > _DECIMAL_BITS:
-            return _decimal_text(n)
-        k = n.bit_length() * 3 // 20
-        high, low = divmod(abs(n), 10**k)
-        return ("-" if n < 0 else "") + _int_text(high) + _int_text(low).zfill(k)
+        return _decimal_text(n)
 
 
 def _decimal_text(n: int) -> str:
@@ -178,8 +169,8 @@ def _decimal_text(n: int) -> str:
     D(low) for n = high * 2^k + low, k half n's bits, down to leaves that
     Decimal(int) converts, in an exact context (Inexact traps).  libmpdec
     multiplies big operands by number-theoretic transforms, so this is
-    subquadratic where str() and the split are quadratic.  decimal is
-    imported here, so only a Q output past _DECIMAL_BITS loads it."""
+    subquadratic where str() is quadratic.  decimal is imported here, so
+    only a Q output past the digit cap loads it."""
     import decimal
 
     Decimal = decimal.Decimal

@@ -267,23 +267,20 @@ def test_int_text_is_the_uncapped_str():
         sys.set_int_max_str_digits(cap)
 
 
-def test_decimal_text_is_str_across_its_leaf_and_its_switch():
+def test_decimal_text_is_str_across_its_leaf():
     """_decimal_text prints what str prints below, at and above its leaf
-    size, and so does _int_text on both sides of _DECIMAL_BITS, where it
-    switches from the split to _decimal_text."""
+    size, and for values that split at several levels."""
     rng = random.Random(29)
-    leaf, switch = field._DECIMAL_LEAF, field._DECIMAL_BITS
-    small = [1, 9, 10, 2**leaf - 1, 2**leaf, 2**leaf + 1, 10**400, 10**400 - 1]
-    small += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in (leaf + 1, 3 * leaf + 7)]
-    large = [2**switch + s for s in (-1, 0, 1)] + [rng.getrandbits(switch + 1)]
-    values = small + large + [-v for v in small + large]
+    leaf = field._DECIMAL_LEAF
+    values = [1, 9, 10, 2**leaf - 1, 2**leaf, 2**leaf + 1, 10**400, 10**400 - 1]
+    values += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in (leaf + 1, 3 * leaf + 7, 60_001)]
+    values += [-v for v in values]
     cap = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(0)
         expected = [str(v) for v in values]
         sys.set_int_max_str_digits(DEFAULT_INT_STR_CAP)
         assert [_decimal_text(v) for v in values] == expected
-        assert [_int_text(v) for v in values] == expected
     finally:
         sys.set_int_max_str_digits(cap)
 

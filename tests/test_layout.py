@@ -69,26 +69,16 @@ def test_fp_requests_load_no_fractions(loaded):
         assert not loaded(args) & RATIONAL_STACK, args
 
 
-REQUESTS = (["compute", "--d=3"], ["compute", "--d=3", "--basis=bernstein"],
-            ["compute", "--d=3", "--cofactors"], ["psres"])
-
-
 @pytest.mark.parametrize("field", ["--field=fp:1000003", "--field=q"])
 def test_requests_load_no_argparse(loaded, field):
     """The CLI reads its options without argparse, and so without gettext
-    and locale, which argparse's first parser loads."""
-    for command in REQUESTS:
+    and locale, which argparse's first parser loads; and compute and psres
+    write their JSON with cli.json_text, so no request loads json (whose
+    import loads json.decoder, json.scanner, json.encoder and _json)."""
+    for command in (["compute", "--d=3"], ["compute", "--d=3", "--basis=bernstein"],
+                    ["compute", "--d=3", "--cofactors"], ["psres"]):
         args = ["-m", "linsubres.cli", *command, *ROOTS, field]
-        assert not loaded(args) & {"argparse", "gettext", "locale"}, args
-
-
-@pytest.mark.parametrize("field", ["--field=fp:1000003", "--field=q"])
-def test_requests_load_no_json(loaded, field):
-    """compute and psres write their JSON with cli.json_text, so no request
-    loads json (nor json.decoder, json.scanner, json.encoder and _json)."""
-    for command in REQUESTS:
-        args = ["-m", "linsubres.cli", *command, *ROOTS, field]
-        assert not {name for name in loaded(args) if name.split(".")[0] in ("json", "_json")}, args
+        assert not loaded(args) & {"argparse", "gettext", "locale", "json"}, args
 
 
 def test_q_compute_still_loads_fractions(loaded):
