@@ -31,6 +31,7 @@ from .errors import (
 from .field import (
     FieldDescriptor,
     FieldValue,
+    _rational,
     binary_pow,
     count_ops,
     credit_ops,
@@ -171,19 +172,32 @@ def factorial_ratio(numerator, denominator, descriptor: FieldDescriptor) -> Fiel
     The prime powers, mod p over F_p, meet in two balanced product trees
     (an order of magnitude faster than multiplying the factorials out).
 
-    Both routes meet at one exit per field.  Over F_p it is num * den^-1
-    mod p, one inverse: den is a unit on either route, a product of unit
+    Both routes give the ratio as num / den with ints (_factorial_ratio_ints)
+    and meet at one exit per field.  Over F_p it is num * den^-1 mod p,
+    one inverse: den is a unit on either route, a product of unit
     factorials on the first, of powers of primes other than p on the
     second (a net negative power of p has raised by then).  Over Q it is
-    Fraction(num, den), and fractions is imported on that branch only.
+    the canonical payload of num / den (field._rational): an int when den
+    divides num, as it does for every integer factorial ratio, so
+    fractions is imported only for a ratio that is not an integer.
     """
+    p = descriptor.characteristic
+    num, den = _factorial_ratio_ints(numerator, denominator, p)
+    if p:
+        return FieldValue(descriptor, num * pow(den, -1, p) % p)
+    return FieldValue(descriptor, _rational(num, den))
+
+
+def _factorial_ratio_ints(numerator, denominator, p: int) -> tuple:
+    """(num, den), ints whose quotient is factorial_ratio's value in
+    characteristic p, by the routes factorial_ratio describes: mod p over
+    F_p, where den is a unit, and in lowest terms over Q."""
     spans = [(r, 1) for r in numerator] + [(r, -1) for r in denominator]
     for r, _ in spans:
         if not isinstance(r, range) or r.step != 1 or (r and r.start < 0):
             raise ValueError(f"factorial arguments must be unit-step ranges of "
                              f"nonnegative integers, got {r!r}")
     top = max((r.stop for r, _ in spans if r), default=1)
-    p = descriptor.characteristic
     if p and p >= top:
         sf, acc, fact, done = {}, 1, 1, 0  # acc = SF(done), fact = done!
         for end in sorted({e for r, _ in spans if r for e in (r.start, r.stop)}):
@@ -224,11 +238,7 @@ def factorial_ratio(numerator, denominator, descriptor: FieldDescriptor) -> Fiel
             if e:
                 (ups if e > 0 else downs).append(pow(q, abs(e), p or None))
         num, den = _product_tree(ups), _product_tree(downs)
-    if p:
-        return FieldValue(descriptor, num * pow(den, -1, p) % p)
-    from fractions import Fraction
-
-    return FieldValue(descriptor, Fraction(num, den))
+    return num, den
 
 
 def principal_ratio(m: int, n: int, d: int, descriptor: FieldDescriptor) -> FieldValue:
@@ -392,16 +402,18 @@ def sres_fast(spec: ProblemSpec) -> SubresResult:
             a, b = (r.numerator * (q // r.denominator) for r in (alpha, beta))
             top = leading_coefficient_sd(
                 ProblemSpec(m, n, d, descriptor.element(a), descriptor.element(b)))
-            ints = _recurrence_int(m, n, d, a, b, top.payload.numerator,
-                                   descriptor.characteristic)
+            ints = _recurrence_int(m, n, d, a, b, top.payload, descriptor.characteristic)
             if q == 1:
                 coeffs = descriptor.from_ints(ints)
             else:
                 from fractions import Fraction
 
+                # Fraction's one gcd, normalised after: a coefficient is
+                # seldom an integer here, and a divmod first would cost
+                # every other coefficient one more long division
                 out, den = [], q ** ((m - d) * (n - d))
                 for value in reversed(ints):
-                    out.append(FieldValue(descriptor, Fraction(value, den)))
+                    out.append(FieldValue(descriptor, _rational(Fraction(value, den))))
                     den *= q
                 coeffs = tuple(reversed(out))
     return SubresResult(
@@ -439,7 +451,7 @@ def sres_bernstein(spec: ProblemSpec) -> SubresResult:
             coeffs = (descriptor.one,)
         else:
             _credit_ratio_chain(d - 1, min(m - d - 1, n - d), d - 1)
-            c = principal_ratio(m - 1, n, d, descriptor).payload.numerator
+            c = principal_ratio(m - 1, n, d, descriptor).payload
             credit_ops(muls=d, divs=d)
             coeffs = descriptor.from_ints(_ratio_chain(
                 c, (((d - j + 1) * (n - d + j - 1), j * (m - j)) for j in range(1, d + 1)),

@@ -9,10 +9,13 @@ multiplications of square and multiply.  Counting costs one ContextVar
 read per operation when no scope is active, so the fast paths stay usable
 inside the cubic-cost determinant oracle.
 
-A payload is a residue int over F_p and a Fraction over Q.  fractions
-(and with it decimal and numbers) is imported on the first rational, by
-_fraction or the branch that reads one, so an F_p process with integer
-inputs never loads it.
+A payload is a residue int over F_p.  Over Q it is an int when the value
+is an integer, otherwise a Fraction, whose denominator is then > 1:
+every Q payload but the int result of int arithmetic goes through the
+one normaliser, _rational.  fractions (and with it decimal and numbers)
+is imported on the first value that is not an integer, by _fraction or
+the branch that reads one, so a process whose inputs and outputs are
+integers, over F_p or over Q, never loads it.
 """
 
 import sys
@@ -194,15 +197,28 @@ def _decimal_text(n: int) -> str:
 
 
 def _fraction(*args) -> "Fraction":
-    """Fraction(*args), a Q payload.  The first call imports fractions and
-    rebinds this name to Fraction itself: an F_p process never loads
-    fractions (nor decimal and numbers, which it imports), and a Q process
-    pays for the import once, not per value."""
+    """Fraction(*args).  The first call imports fractions and rebinds this
+    name to Fraction itself: a process whose values are all integers
+    never loads fractions (nor decimal and numbers, which it imports), and
+    one with rationals pays for the import once, not per value."""
     global _fraction
     from fractions import Fraction
 
     _fraction = Fraction
     return Fraction(*args)
+
+
+def _rational(num, den=1) -> "int | Fraction":
+    """num / den as a Q payload, for ints or Fractions num and den != 0:
+    an int when the quotient is an integer, otherwise a Fraction (with
+    denominator > 1).  int / int is an exact divmod, so it imports
+    fractions only when den does not divide num."""
+    if den != 1:
+        if type(num) is int and type(den) is int:
+            quotient, rest = divmod(num, den)
+            return _fraction(num, den) if rest else quotient
+        num = num / den
+    return num if type(num) is int or num.denominator != 1 else num.numerator
 
 
 def _parse_rational(text: str) -> "int | Fraction":
@@ -274,7 +290,7 @@ class FieldDescriptor:
         rational a/b is a * b^-1, and a b divisible by p raises
         DivisionByZero.  Idempotent on FieldValues of this same field.
         An int over F_p is reduced mod p before anything else, and
-        fractions is imported only for a Q value or a rational input."""
+        fractions is imported only for a rational input."""
         if isinstance(value, FieldValue):
             if value.descriptor != self:
                 raise FieldMismatch(f"value from {value.descriptor} injected into {self}")
@@ -285,22 +301,20 @@ class FieldDescriptor:
             value = _parse_rational(value)
         p = self.modulus
         if isinstance(value, int):
-            return FieldValue(self, value % p if p else _fraction(value))
+            return FieldValue(self, value % p if p else int(value))
         from fractions import Fraction
 
         if not isinstance(value, Fraction):
             raise TypeError(f"cannot inject {type(value).__name__} into {self}")
         if p is None:
-            return FieldValue(self, value)
+            return FieldValue(self, _rational(value))
         if value.denominator % p == 0:
             raise DivisionByZero(f"denominator divisible by {p}")
         return FieldValue(self, value.numerator * pow(value.denominator, -1, p) % p)
 
     def from_ints(self, values) -> tuple:
-        """Wrap canonical payloads, unchecked: integers over Q, residues
+        """Wrap canonical payloads, unchecked: ints over Q, residues
         already in [0, p) over F_p (the output of an integer kernel)."""
-        if not self.modulus:
-            values = map(_fraction, values)
         return tuple(map(FieldValue, repeat(self), values))
 
     def from_str(self, text: str) -> "FieldValue":
@@ -325,7 +339,8 @@ class FieldDescriptor:
 class FieldValue:
     """Immutable element of a FieldDescriptor.
 
-    The payload is canonical: a normalized Fraction over Q, a residue in
+    The payload is canonical: over Q an int when the value is an integer,
+    otherwise a normalized Fraction with denominator > 1; a residue in
     [0, p) over F_p.  Construct through FieldDescriptor.element."""
 
     __slots__ = ("descriptor", "payload")
@@ -352,7 +367,8 @@ class FieldValue:
             c.adds += 1
         d = self.descriptor
         if d.modulus is None:
-            return FieldValue(d, self.payload + other.payload)
+            value = self.payload + other.payload
+            return FieldValue(d, value if type(value) is int else _rational(value))
         return FieldValue(d, (self.payload + other.payload) % d.modulus)
 
     def __sub__(self, other: "FieldValue") -> "FieldValue":
@@ -363,7 +379,8 @@ class FieldValue:
             c.adds += 1
         d = self.descriptor
         if d.modulus is None:
-            return FieldValue(d, self.payload - other.payload)
+            value = self.payload - other.payload
+            return FieldValue(d, value if type(value) is int else _rational(value))
         return FieldValue(d, (self.payload - other.payload) % d.modulus)
 
     def __mul__(self, other: "FieldValue") -> "FieldValue":
@@ -374,7 +391,8 @@ class FieldValue:
             c.muls += 1
         d = self.descriptor
         if d.modulus is None:
-            return FieldValue(d, self.payload * other.payload)
+            value = self.payload * other.payload
+            return FieldValue(d, value if type(value) is int else _rational(value))
         return FieldValue(d, self.payload * other.payload % d.modulus)
 
     def __truediv__(self, other: "FieldValue") -> "FieldValue":
@@ -387,7 +405,7 @@ class FieldValue:
             c.divs += 1
         d = self.descriptor
         if d.modulus is None:
-            return FieldValue(d, self.payload / other.payload)
+            return FieldValue(d, _rational(self.payload, other.payload))
         return FieldValue(d, self.payload * pow(other.payload, -1, d.modulus) % d.modulus)
 
     def __neg__(self) -> "FieldValue":
@@ -415,7 +433,7 @@ class FieldValue:
     def __str__(self) -> str:
         try:
             return str(self.payload)
-        except ValueError:  # only a Fraction, over Q, grows past the digit cap
+        except ValueError:  # only a Q payload, int or Fraction, grows past the digit cap
             text = _int_text(self.payload.numerator)
             if self.payload.denominator == 1:
                 return text
@@ -452,7 +470,8 @@ def parse_field_spec(text: str) -> FieldDescriptor:
 
 def binary_pow(base: FieldValue, exponent: int) -> FieldValue:
     """base**exponent by the builtin power: pow(payload, e, p) over F_p,
-    payload ** e over Q (a Fraction power needs no gcd).
+    payload ** e over Q (a Fraction power needs no gcd, and is an integer
+    only at e = 0).
 
     Every active count_ops scope is credited with binary_pow_muls(e), the
     multiplications of square and multiply: at most 2*floor(log2(e)) + 1
@@ -469,7 +488,8 @@ def binary_pow(base: FieldValue, exponent: int) -> FieldValue:
         c.muls += muls
     d = base.descriptor
     if d.modulus is None:
-        return FieldValue(d, base.payload ** exponent)
+        value = base.payload ** exponent
+        return FieldValue(d, value if type(value) is int else _rational(value))
     return FieldValue(d, pow(base.payload, exponent, d.modulus))
 
 

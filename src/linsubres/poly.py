@@ -19,7 +19,7 @@ from .fastsubres import (
     SubresResult,
     _checked_case,
     _credit_ratio_chain,
-    factorial_ratio,
+    _factorial_ratio_ints,
 )
 from .field import FieldDescriptor, FieldValue, binary_pow, credit_ops
 
@@ -258,27 +258,39 @@ def cofactors(spec: ProblemSpec) -> CofactorPair:
     characteristic: T's denominators are units for p >= max(m, n), so the
     formula reduced mod p is the determinantal answer.  In the vanishing
     band (m+n-d-2)! contains p and T = 0, so F = G = 0.
+
+    Over Q each T t_j is an integer: at alpha = 1, beta = 0 the cofactors
+    are integer polynomials, and their basis (x-1)^j x^(r-j) is unimodular
+    (triangular against the x^(r-j), with diagonal (-1)^j).  So T goes
+    into the t_j by exact integer division, credited as the one
+    multiplication scale * T it replaces, and integer roots give ints
+    throughout, with the same values and op count.
     """
     case = _checked_case(spec)
     descriptor = spec.descriptor
+    p = descriptor.characteristic
     m, n, d = spec.m, spec.n, spec.d
     delta = spec.alpha - spec.beta
     scale = binary_pow(delta, (m - d - 1) * (n - d - 1))
-    t_product = descriptor.one
+    num = den = 1  # T = num / den
     if d >= 1:
         _credit_ratio_chain(d, min(m - d, n - d - 1), d - 1, seed_divs=1)
         # not principal_ratio(m, n, d) * d! (m+n-2d-1)! / (m+n-d-1)!: that
         # quotient has p in its denominator in the vanishing band
-        t_product = factorial_ratio(
+        num, den = _factorial_ratio_ints(
             [range(1, d + 1), range(m + n - 2 * d - 1, m + n - d - 1)],
-            [range(m - d, m), range(n - d, n)], descriptor)
-    base = scale * t_product
-    f_cof = expand_pair_basis(
-        pair_basis_coeffs(n - d - 1, -n, m, descriptor), spec.alpha, spec.beta
-    ).scale(base)
-    g_cof = expand_pair_basis(
-        pair_basis_coeffs(m - d - 1, n, -m, descriptor), spec.alpha, spec.beta
-    ).scale(base)
+            [range(m - d, m), range(n - d, n)], p)
+    f_basis = pair_basis_coeffs(n - d - 1, -n, m, descriptor)
+    g_basis = pair_basis_coeffs(m - d - 1, n, -m, descriptor)
+    if p:
+        base = scale * FieldValue(descriptor, num * pow(den, -1, p) % p)
+    else:
+        base = scale
+        credit_ops(muls=1)
+        f_basis, g_basis = (descriptor.from_ints([t.payload * num // den for t in basis])
+                            for basis in (f_basis, g_basis))
+    f_cof = expand_pair_basis(f_basis, spec.alpha, spec.beta).scale(base)
+    g_cof = expand_pair_basis(g_basis, spec.alpha, spec.beta).scale(base)
     if (m + d) % 2:
         f_cof = -f_cof
     else:

@@ -24,7 +24,9 @@ fastsubres._ratio_chain, with one inverse, gives the 1/u_i from
 1/u_1 = 1/C(m+n-2, m-1) and u_{d+1} / u_d = d (m-d) (n-d) (m+n-d)
 / ((k-1) k^2 (k+1)), k = m+n-2d.  For a non-integer delta over Q the
 chain at delta = 1 gives the c(i), which a downward chain of Fraction
-powers multiplies by delta^((m-i)(n-i)).  alpha = beta gives zeros.
+powers multiplies by delta^((m-i)(n-i)); a product that is an integer
+is stored as an int, the canonical Q payload.  alpha = beta gives
+zeros.
 check.psres_schedule, the reference route the tests compare psres_all
 with, builds both chains index by index in FieldValue arithmetic;
 psres_all credits the active count_ops scopes with its op tally.
@@ -34,7 +36,7 @@ from math import comb, gcd
 
 from .errors import CharacteristicError
 from .fastsubres import ProblemSpec, _ratio_chain, principal_ratio
-from .field import FieldDescriptor, FieldValue, binary_pow_muls, credit_ops
+from .field import FieldDescriptor, FieldValue, _rational, binary_pow_muls, credit_ops
 
 __all__ = ["psres_all"]
 
@@ -63,11 +65,11 @@ def psres_all(m: int, n: int, alpha: FieldValue, beta: FieldValue) -> list:
     c = _downward(m, n, 1, descriptor)
     top = len(c) - 1
     h, step = delta ** ((m - top) * (n - top)), delta ** (m + n - 2 * top + 1)
-    values = [FieldValue(descriptor, c[top] * h)]
+    values = [FieldValue(descriptor, _rational(c[top] * h))]
     for i in range(top - 1, -1, -1):
         h *= step
         step *= delta * delta
-        values.append(FieldValue(descriptor, c[i] * h))
+        values.append(FieldValue(descriptor, _rational(c[i] * h)))
     return values[::-1]
 
 
@@ -91,7 +93,7 @@ def _downward(m: int, n: int, delta: int, descriptor: FieldDescriptor) -> list:
     p = descriptor.characteristic
     low = min(m, n)
     top = low - 1
-    s = principal_ratio(m, n, top, descriptor).payload.numerator
+    s = principal_ratio(m, n, top, descriptor).payload
     s *= pow(delta, (m - top) * (n - top), p or None)
     step = pow(delta, m + n - 2 * top + 1, p or None)
     delta_sq = delta * delta

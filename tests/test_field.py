@@ -367,6 +367,101 @@ def test_parse_errors_quote_a_bounded_prefix():
         Q.from_str("five")
 
 
+def _canonical(value) -> bool:
+    """A Q payload is an int exactly when the value is an integer."""
+    return (type(value.payload) is int) == (value.payload.denominator == 1)
+
+
+def test_q_payloads_are_ints_exactly_for_integers():
+    inputs = {6: 6, Fraction(6, 3): 2, "6/3": 2, "2.0": 2, "1e3": 1000, "-5/2": Fraction(-5, 2),
+              " 7 ": 7, Fraction(1, 3): Fraction(1, 3)}
+    for raw, expected in inputs.items():
+        for value in (Q.element(raw.strip() if isinstance(raw, str) else raw),
+                      Q.from_str(str(raw))):
+            assert value.payload == expected and _canonical(value), raw
+    assert type(Q.zero.payload) is type(Q.one.payload) is int
+    assert type(Q.from_ints([5])[0].payload) is int
+
+
+def test_q_arithmetic_keeps_payloads_canonical():
+    half, third, six, three = (Q.from_str(t) for t in ("1/2", "1/3", "6", "3"))
+    cases = [
+        (half + half, 1), (half - half, 0), (half * Q.element(2), 1), (half / half, 1),
+        (third + half, Fraction(5, 6)), (six / three, 2), (Q.one / three, Fraction(1, 3)),
+        (six / half, 12), (half / six, Fraction(1, 12)), (-half, Fraction(-1, 2)), (-six, -6),
+        (six * third, 2), (six - half, Fraction(11, 2)), (third * three, 1),
+        (Q.element(Fraction(3, 2)) * Q.element(Fraction(2, 3)), 1),
+        (binary_pow(half, 0), 1), (binary_pow(half, 3), Fraction(1, 8)),
+        (binary_pow(six, 0), 1), (binary_pow(six, 2), 36), (binary_pow(-three, 3), -27),
+    ]
+    for value, expected in cases:
+        assert value.payload == expected and _canonical(value), (value, expected)
+    rng = random.Random(31)
+    pool = [Q.element(Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 4))))
+            for _ in range(40)]
+    for x in pool:
+        for y in pool[:12]:
+            results = [x + y, x - y, x * y, -x, binary_pow(x, rng.randrange(4))]
+            if y:
+                results.append(x / y)
+            assert all(map(_canonical, results)), (x, y)
+
+
+def test_q_entry_point_outputs_are_canonical():
+    """Integer roots give int payloads only.  Rational roots at an integer
+    delta (alpha = 1/2, beta = -1/2) give ints wherever the output is a
+    function of delta alone: psres_all, leading_coefficient_sd and the
+    pair-basis coefficients and prefactor of sres_bernstein."""
+    from linsubres.fastsubres import (
+        ProblemSpec, leading_coefficient_sd, sres_bernstein, sres_fast)
+    from linsubres.poly import cofactors
+    from linsubres.psres import psres_all
+
+    for a, b in (("3", "-2"), ("0", "5"), ("1/2", "-1/2"), ("5/3", "-1/3"),
+                 ("1/2", "-1/3"), ("-7/3", "2")):
+        alpha, beta = Q.from_str(a), Q.from_str(b)
+        of_delta, of_roots = list(psres_all(7, 5, alpha, beta)), []
+        for d in range(4):
+            spec = ProblemSpec(7, 5, d, alpha, beta)
+            bern, pair = sres_bernstein(spec), cofactors(spec)
+            of_delta += [*bern.coeffs, bern.prefactor, leading_coefficient_sd(spec)]
+            of_roots += [*sres_fast(spec).coeffs, *pair.f.coeffs, *pair.g.coeffs]
+        assert all(map(_canonical, of_delta + of_roots)), (a, b)
+        ints = [type(v.payload) is int for v in of_delta + of_roots]
+        if "/" not in a + b:
+            assert all(ints), (a, b)
+        elif (alpha - beta).payload.denominator == 1:
+            assert all(ints[:len(of_delta)]) and not all(ints), (a, b)
+        else:
+            assert not all(ints), (a, b)
+
+
+def test_int_payloads_print_past_the_int_str_limit():
+    """str, repr, result_to_json and poly_to_json print an int payload of
+    more than the default cap's digits as the uncapped str does."""
+    from linsubres.fastsubres import ProblemSpec, result_to_json, sres_fast
+    from linsubres.poly import DensePoly, poly_to_json
+
+    big = 7**6000  # 5,071 digits
+    cap = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = [str(big), str(-big), str(big * 3 + 1)]
+        power = str(18**10000)  # Sres_0 of (x-9)^100, (x+9)^100: 12,553 digits
+        sys.set_int_max_str_digits(DEFAULT_INT_STR_CAP)
+        values = [Q.element(big), -Q.element(big), Q.from_str("3") * Q.element(big) + Q.one]
+        assert all(type(v.payload) is int for v in values)
+        assert [str(v) for v in values] == expected
+        assert [repr(v) for v in values] == [f"<{text} in q>" for text in expected]
+        assert poly_to_json(DensePoly(Q, values))["coeffs"] == expected
+        result = sres_fast(ProblemSpec(100, 100, 0, Q.element(9), Q.element(-9)))
+        assert type(result.coeffs[0].payload) is int
+        assert result_to_json(result)["coeffs"] == [power]
+        assert sys.get_int_max_str_digits() == DEFAULT_INT_STR_CAP
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def test_equality_and_hash():
     assert Q.element(2) == Q.element(Fraction(4, 2))
     assert hash(Q.element(2)) == hash(Q.element(Fraction(4, 2)))
@@ -374,6 +469,12 @@ def test_equality_and_hash():
     assert Q.element(2) != 2  # no silent cross-type equality
     assert FieldDescriptor() == Q and (FieldDescriptor() == "q") is False
     assert not Q.zero and Q.one
+    half = Q.from_str("1/2")
+    for int_built, fraction_built in ((Q.element(2), half * Q.element(4)),
+                                      (Q.one, half + half), (Q.zero, half - half),
+                                      (Q.element(-3), Q.from_str("-6/2"))):
+        assert int_built == fraction_built and hash(int_built) == hash(fraction_built)
+        assert {int_built: 1}[fraction_built] == 1
 
 
 def test_count_ops_basic():
@@ -465,7 +566,7 @@ def test_binary_pow_is_the_builtin_power_credited_by_square_and_multiply(base):
                 value = binary_pow(base, e)
         expected = pow(base.payload, e, descriptor.modulus)
         assert value.descriptor is descriptor and value.payload == expected
-        assert type(value.payload) is type(base.payload)
+        assert type(value.payload) is (int if value.payload.denominator == 1 else Fraction)
         assert binary_pow_muls(e) == _square_and_multiply_muls(e)
         assert inner == outer == OpCounter(muls=binary_pow_muls(e))
     with pytest.raises(TypeError):

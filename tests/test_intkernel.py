@@ -13,6 +13,7 @@ to the op counts the FieldValue route records.
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -541,6 +542,40 @@ def test_q_routes_match_fp_mod_a_large_prime(m, n, a, b, data):
     assert reduced(q_pair.g.coeffs) == residues(p_pair.g.coeffs)
     assert reduced(psres_all(m, n, q_spec.alpha, q_spec.beta)) == residues(
         psres_all(m, n, p_spec.alpha, p_spec.beta))
+
+
+def test_q_outputs_reduce_to_the_fp_route_in_f_1000003():
+    """A seeded sample up to m, n = 96, roots a/q with a in [-9, 9] and q in
+    {1, 2, 3}: every Q output, its int and Fraction payloads alike, reduced
+    into F_1000003 equals the F_p route's output on the reduced roots."""
+    p = 1000003
+    fp = prime_field(p)
+    rng = random.Random(1000003)
+
+    def reduced(values):
+        return [v.payload.numerator * pow(v.payload.denominator, -1, p) % p for v in values]
+
+    def residues(values):
+        return [v.payload for v in values]
+
+    for _ in range(40):
+        m, n = rng.randint(1, 96), rng.randint(1, 96)
+        alpha, beta = (Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in "ab")
+        if alpha == beta:
+            continue
+        d = rng.randrange(min(m, n))
+        q_spec = ProblemSpec(m, n, d, Q.element(alpha), Q.element(beta))
+        p_spec = ProblemSpec(m, n, d, fp.element(alpha), fp.element(beta))
+        where = (m, n, d, alpha, beta)
+        assert reduced(sres_fast(q_spec).coeffs) == residues(sres_fast(p_spec).coeffs), where
+        q_bern, p_bern = sres_bernstein(q_spec), sres_bernstein(p_spec)
+        assert reduced([*q_bern.coeffs, q_bern.prefactor]) == residues(
+            [*p_bern.coeffs, p_bern.prefactor]), where
+        q_pair, p_pair = cofactors(q_spec), cofactors(p_spec)
+        assert reduced(q_pair.f.coeffs + q_pair.g.coeffs) == residues(
+            p_pair.f.coeffs + p_pair.g.coeffs), where
+        assert reduced(psres_all(m, n, q_spec.alpha, q_spec.beta)) == residues(
+            psres_all(m, n, p_spec.alpha, p_spec.beta)), where
 
 
 # Past the oracle box: both orders, min(m, n) in {1, 2}, and m, n up to 300.

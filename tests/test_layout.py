@@ -81,8 +81,20 @@ def test_requests_load_no_argparse(loaded, field):
         assert not loaded(args) & {"argparse", "gettext", "locale", "json"}, args
 
 
+def test_q_integer_requests_load_no_fractions(loaded):
+    """Over Q with integer roots every value is an integer, held as an int,
+    so no request builds a Fraction."""
+    q = [arg for arg in ROOTS if not arg.startswith("--field=")] + ["--field=q"]
+    compute = ["-m", "linsubres.cli", "compute", "--d=3", *q]
+    psres = ["-m", "linsubres.cli", "psres", *q]
+    for args in (compute, compute + ["--basis=bernstein"], compute + ["--cofactors"], psres):
+        assert not loaded(args) & RATIONAL_STACK, args
+
+
 def test_q_compute_still_loads_fractions(loaded):
-    modules = loaded([arg for arg in COMPUTE if not arg.startswith("--field=")])
+    """A rational root is a Fraction, so the guard above is not vacuous."""
+    modules = loaded([arg for arg in COMPUTE if not arg.startswith("--field=")]
+                     + ["--field=q", "--alpha=1/2"])
     assert "fractions" in modules and "__future__" not in modules
 
 
