@@ -11,7 +11,8 @@ inside the cubic-cost determinant oracle.
 
 A payload is a residue int over F_p.  Over Q it is an int when the value
 is an integer, otherwise a Fraction, whose denominator is then > 1:
-every Q payload but the int result of int arithmetic goes through the
+every Q payload but the int result of int arithmetic and
+fastsubres.factorial_ratio's quotient of coprime ints goes through the
 one normaliser, _rational.  fractions (and with it decimal and numbers)
 is imported on the first value that is not an integer, by _fraction or
 the branch that reads one, so a process whose inputs and outputs are
@@ -118,6 +119,7 @@ class OpCounter:
 # Stack of active counters.  A tuple so that nested scopes copy cheaply and
 # threads started fresh see an empty stack.
 _counters: ContextVar[tuple] = ContextVar("linsubres_op_counters", default=())
+_new = object.__new__  # _new(FieldValue): a value whose two slots the caller sets
 
 
 @contextmanager
@@ -341,7 +343,11 @@ class FieldValue:
 
     The payload is canonical: over Q an int when the value is an integer,
     otherwise a normalized Fraction with denominator > 1; a residue in
-    [0, p) over F_p.  Construct through FieldDescriptor.element."""
+    [0, p) over F_p.  Construct through FieldDescriptor.element.
+
+    The operators keep one op's cost at its floor: an exact type test
+    before isinstance, an identity test of the fields, one ContextVar
+    read, and a result built by _new rather than an __init__ call."""
 
     __slots__ = ("descriptor", "payload")
 
@@ -352,69 +358,106 @@ class FieldValue:
     def is_zero(self) -> bool:
         return self.payload == 0
 
-    def _check(self, other: "FieldValue") -> None:
-        if self.descriptor is not other.descriptor:
-            raise FieldMismatch(
-                f"mixed fields: {self.descriptor.spec_string()} and "
-                f"{other.descriptor.spec_string()}"
-            )
+    def _mismatch(self, other: "FieldValue") -> FieldMismatch:
+        return FieldMismatch(
+            f"mixed fields: {self.descriptor.spec_string()} and "
+            f"{other.descriptor.spec_string()}"
+        )
 
     def __add__(self, other: "FieldValue") -> "FieldValue":
-        if not isinstance(other, FieldValue):
+        if type(other) is not FieldValue and not isinstance(other, FieldValue):
             return NotImplemented
-        self._check(other)
-        for c in _counters.get():
-            c.adds += 1
         d = self.descriptor
+        if other.descriptor is not d:
+            raise self._mismatch(other)
+        counters = _counters.get()
+        if counters:
+            for c in counters:
+                c.adds += 1
         if d.modulus is None:
             value = self.payload + other.payload
-            return FieldValue(d, value if type(value) is int else _rational(value))
-        return FieldValue(d, (self.payload + other.payload) % d.modulus)
+            if type(value) is not int:
+                value = _rational(value)
+        else:
+            value = (self.payload + other.payload) % d.modulus
+        result = _new(FieldValue)
+        result.descriptor = d
+        result.payload = value
+        return result
 
     def __sub__(self, other: "FieldValue") -> "FieldValue":
-        if not isinstance(other, FieldValue):
+        if type(other) is not FieldValue and not isinstance(other, FieldValue):
             return NotImplemented
-        self._check(other)
-        for c in _counters.get():
-            c.adds += 1
         d = self.descriptor
+        if other.descriptor is not d:
+            raise self._mismatch(other)
+        counters = _counters.get()
+        if counters:
+            for c in counters:
+                c.adds += 1
         if d.modulus is None:
             value = self.payload - other.payload
-            return FieldValue(d, value if type(value) is int else _rational(value))
-        return FieldValue(d, (self.payload - other.payload) % d.modulus)
+            if type(value) is not int:
+                value = _rational(value)
+        else:
+            value = (self.payload - other.payload) % d.modulus
+        result = _new(FieldValue)
+        result.descriptor = d
+        result.payload = value
+        return result
 
     def __mul__(self, other: "FieldValue") -> "FieldValue":
-        if not isinstance(other, FieldValue):
+        if type(other) is not FieldValue and not isinstance(other, FieldValue):
             return NotImplemented
-        self._check(other)
-        for c in _counters.get():
-            c.muls += 1
         d = self.descriptor
+        if other.descriptor is not d:
+            raise self._mismatch(other)
+        counters = _counters.get()
+        if counters:
+            for c in counters:
+                c.muls += 1
         if d.modulus is None:
             value = self.payload * other.payload
-            return FieldValue(d, value if type(value) is int else _rational(value))
-        return FieldValue(d, self.payload * other.payload % d.modulus)
+            if type(value) is not int:
+                value = _rational(value)
+        else:
+            value = self.payload * other.payload % d.modulus
+        result = _new(FieldValue)
+        result.descriptor = d
+        result.payload = value
+        return result
 
     def __truediv__(self, other: "FieldValue") -> "FieldValue":
-        if not isinstance(other, FieldValue):
+        if type(other) is not FieldValue and not isinstance(other, FieldValue):
             return NotImplemented
-        self._check(other)
-        if other.payload == 0:
-            raise DivisionByZero(f"division by zero in {self.descriptor.spec_string()}")
-        for c in _counters.get():
-            c.divs += 1
         d = self.descriptor
+        if other.descriptor is not d:
+            raise self._mismatch(other)
+        if other.payload == 0:
+            raise DivisionByZero(f"division by zero in {d.spec_string()}")
+        counters = _counters.get()
+        if counters:
+            for c in counters:
+                c.divs += 1
         if d.modulus is None:
-            return FieldValue(d, _rational(self.payload, other.payload))
-        return FieldValue(d, self.payload * pow(other.payload, -1, d.modulus) % d.modulus)
+            value = _rational(self.payload, other.payload)
+        else:
+            value = self.payload * pow(other.payload, -1, d.modulus) % d.modulus
+        result = _new(FieldValue)
+        result.descriptor = d
+        result.payload = value
+        return result
 
     def __neg__(self) -> "FieldValue":
-        for c in _counters.get():
-            c.negs += 1
+        counters = _counters.get()
+        if counters:
+            for c in counters:
+                c.negs += 1
         d = self.descriptor
-        if d.modulus is None:
-            return FieldValue(d, -self.payload)
-        return FieldValue(d, -self.payload % d.modulus)
+        result = _new(FieldValue)
+        result.descriptor = d
+        result.payload = -self.payload if d.modulus is None else -self.payload % d.modulus
+        return result
 
     def __pow__(self, exponent: int) -> "FieldValue":
         return binary_pow(self, exponent)

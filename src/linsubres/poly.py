@@ -11,6 +11,7 @@ linsubres.check.
 
 import math
 from collections import namedtuple
+from itertools import zip_longest
 
 from .errors import BasisMismatch, FieldMismatch, PreconditionError
 from .fastsubres import (
@@ -96,48 +97,50 @@ class DensePoly:
             raise PreconditionError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
+    def _check(self, other: "DensePoly") -> None:
+        if self.descriptor is not other.descriptor:
+            raise FieldMismatch("polynomials from different fields")
+
     def __add__(self, other: "DensePoly") -> "DensePoly":
         if not isinstance(other, DensePoly):
             return NotImplemented
+        self._check(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return DensePoly(self.descriptor, out)
+        out = [x + y for x, y in zip(a, b)]
+        out += a[len(b):]
+        return _poly(self.descriptor, out)
 
     def __sub__(self, other: "DensePoly") -> "DensePoly":
         if not isinstance(other, DensePoly):
             return NotImplemented
-        out = [
-            self.coeff(i) - other.coeff(i)
-            for i in range(max(len(self.coeffs), len(other.coeffs)))
-        ]
-        return DensePoly(self.descriptor, out)
+        self._check(other)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=self.descriptor.zero)
+        return _poly(self.descriptor, [x - y for x, y in pairs])
 
     def __neg__(self) -> "DensePoly":
-        return DensePoly(self.descriptor, [-c for c in self.coeffs])
+        return _poly(self.descriptor, [-c for c in self.coeffs])
 
     def __mul__(self, other: "DensePoly") -> "DensePoly":
         if not isinstance(other, DensePoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return DensePoly.zero(self.descriptor)
+        self._check(other)
+        if not self.coeffs or not other.coeffs:
+            return _poly(self.descriptor, [])
         out = [self.descriptor.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        right = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_zero()]
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
+            for j, b in right:
                 out[i + j] = out[i + j] + a * b
-        return DensePoly(self.descriptor, out)
+        return _poly(self.descriptor, out)
 
     def scale(self, value: FieldValue) -> "DensePoly":
         if value.is_zero():
-            return DensePoly.zero(self.descriptor)
-        return DensePoly(self.descriptor, [c * value for c in self.coeffs])
+            return _poly(self.descriptor, [])
+        return _poly(self.descriptor, [c * value for c in self.coeffs])
 
     def evaluate(self, point: FieldValue) -> FieldValue:
         acc = self.descriptor.zero
@@ -161,6 +164,18 @@ class DensePoly:
 
     def __repr__(self) -> str:
         return f"DensePoly({self.descriptor.spec_string()}, [{', '.join(map(str, self.coeffs))}])"
+
+
+def _poly(descriptor: FieldDescriptor, coeffs: list) -> DensePoly:
+    """DensePoly(descriptor, coeffs) for coefficients that arithmetic on
+    DensePolys of descriptor gave: trailing zeros are stripped, and the
+    coefficients, FieldValues of descriptor already, are not re-checked."""
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    poly = object.__new__(DensePoly)
+    poly.descriptor = descriptor
+    poly.coeffs = tuple(coeffs)
+    return poly
 
 
 def power_of_linear(alpha: FieldValue, e: int) -> DensePoly:

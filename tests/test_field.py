@@ -1,6 +1,7 @@
 """Field arithmetic, canonical forms, and operation counting."""
 
 import copy
+import operator
 import pickle
 import random
 import sys
@@ -70,8 +71,19 @@ def test_division_by_zero():
 
 
 def test_field_mismatch():
-    with pytest.raises(FieldMismatch):
-        Q.one + F7.one
+    # every binary op checks the fields before it counts, so the two nested
+    # scopes hold the five good ops below, each once
+    for field_, other in ((Q, F7), (F7, Q), (F7, prime_field(11))):
+        a, b = field_.element(3), field_.element(5)
+        with count_ops() as outer:
+            with count_ops() as inner:
+                for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                    with pytest.raises(FieldMismatch):
+                        op(a, other.one)
+                    op(a, b)
+                _ = -a
+        for ops in (outer, inner):
+            assert (ops.adds, ops.muls, ops.divs, ops.negs) == (2, 1, 1, 1)
     with pytest.raises(FieldMismatch):
         F7.element(prime_field(11).one)
     for value in (True, 1.5):

@@ -396,6 +396,16 @@ def test_factorial_ratio_matches_math_factorial(numerator, denominator):
     assert factorial_ratio(numerator, denominator, Q).payload == expected
 
 
+def test_factorial_ratio_over_q_is_a_canonical_payload():
+    # num and den come out coprime, so a ratio that is not an integer is
+    # Fraction(num, den) as it stands, and an integer one a plain int
+    five_sixths = factorial_ratio([range(5, 6)], [range(3, 5)], Q)  # 5! / (3! 4!)
+    assert type(five_sixths.payload) is Fraction
+    assert five_sixths.payload == Fraction(5, 6)
+    twenty = factorial_ratio([range(6, 7)], [range(3, 4), range(3, 4)], Q)  # 6! / 3!^2
+    assert type(twenty.payload) is int and twenty.payload == 20
+
+
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 1000003, P61]
 
 

@@ -52,6 +52,29 @@ def test_basic_arithmetic():
             op(x_plus, 1)
 
 
+def test_arithmetic_checks_fields_and_strips_trailing_zeros():
+    for op in (operator.add, operator.sub, operator.mul):
+        for a, b in ((ints(Q, 1, 1), ints(F7, 1, 1)), (ints(F7, 2), ints(F11, 0, 3))):
+            with pytest.raises(FieldMismatch):
+                op(a, b)
+    x = ints(Q, 0, 1)
+    one = DensePoly.one(Q)
+    results = [
+        ((x + one) + (-x), [1]),
+        ((x + one) - (x + one), []),
+        (x - (x + one), [-1]),
+        (ints(Q, 1, 0, 1) * ints(Q, -1, 0, 1), [-1, 0, 0, 0, 1]),
+        (ints(Q, 2, 3).scale(Q.zero), []),
+        (ints(F7, 3, 1) * ints(F7, 4, 1), [5, 0, 1]),  # x^2 + 7x + 12
+        (ints(F7, 3, 1) + ints(F7, 4, 6), []),
+        (ints(F7, 0, 0, 2).scale(F7.element(4)), [0, 0, 1]),
+    ]
+    for result, coeffs in results:
+        expected = ints(result.descriptor, *coeffs, 0)
+        assert result == expected == DensePoly(result.descriptor, result.coeffs)
+        assert result.degree == len(coeffs) - 1
+
+
 def test_evaluate_horner():
     p = ints(F7.element(1).descriptor, 1, 2)  # 2x + 1 over F7
     assert p.evaluate(F7.element(3)) == F7.element(0)
