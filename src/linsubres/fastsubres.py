@@ -176,21 +176,16 @@ def factorial_ratio(numerator, denominator, descriptor: FieldDescriptor) -> Fiel
     and meet at one exit per field.  Over F_p it is num * den^-1 mod p,
     one inverse: den is a unit on either route, a product of unit
     factorials on the first, of powers of primes other than p on the
-    second (a net negative power of p has raised by then).  Over Q num
-    and den are coprime, so the payload is num when den is 1, as for
-    every integer factorial ratio, and otherwise Fraction(num, den) with
-    no divmod tried first; fractions is imported only for a ratio that
-    is not an integer.
+    second (a net negative power of p has raised by then).  Over Q it is
+    the canonical payload of num / den (field._rational): an int when den
+    divides num, as it does for every integer factorial ratio, so
+    fractions is imported only for a ratio that is not an integer.
     """
     p = descriptor.characteristic
     num, den = _factorial_ratio_ints(numerator, denominator, p)
     if p:
         return FieldValue(descriptor, num * pow(den, -1, p) % p)
-    if den == 1:
-        return FieldValue(descriptor, num)
-    from fractions import Fraction
-
-    return FieldValue(descriptor, Fraction(num, den))
+    return FieldValue(descriptor, _rational(num, den))
 
 
 def _factorial_ratio_ints(numerator, denominator, p: int) -> tuple:

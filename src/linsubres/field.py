@@ -11,8 +11,7 @@ inside the cubic-cost determinant oracle.
 
 A payload is a residue int over F_p.  Over Q it is an int when the value
 is an integer, otherwise a Fraction, whose denominator is then > 1:
-every Q payload but the int result of int arithmetic and
-fastsubres.factorial_ratio's quotient of coprime ints goes through the
+every Q payload but the int result of int arithmetic goes through the
 one normaliser, _rational.  fractions (and with it decimal and numbers)
 is imported on the first value that is not an integer, by _fraction or
 the branch that reads one, so a process whose inputs and outputs are
@@ -119,7 +118,7 @@ class OpCounter:
 # Stack of active counters.  A tuple so that nested scopes copy cheaply and
 # threads started fresh see an empty stack.
 _counters: ContextVar[tuple] = ContextVar("linsubres_op_counters", default=())
-_new = object.__new__  # _new(FieldValue): a value whose two slots the caller sets
+_new = object.__new__  # _new(cls): an instance whose slots the caller sets
 
 
 @contextmanager
@@ -345,9 +344,9 @@ class FieldValue:
     otherwise a normalized Fraction with denominator > 1; a residue in
     [0, p) over F_p.  Construct through FieldDescriptor.element.
 
-    The operators keep one op's cost at its floor: an exact type test
-    before isinstance, an identity test of the fields, one ContextVar
-    read, and a result built by _new rather than an __init__ call."""
+    The operators keep one op's cost at its floor: an identity test of
+    the fields, one ContextVar read, and a result built by _new rather
+    than an __init__ call."""
 
     __slots__ = ("descriptor", "payload")
 
@@ -365,7 +364,7 @@ class FieldValue:
         )
 
     def __add__(self, other: "FieldValue") -> "FieldValue":
-        if type(other) is not FieldValue and not isinstance(other, FieldValue):
+        if not isinstance(other, FieldValue):
             return NotImplemented
         d = self.descriptor
         if other.descriptor is not d:
@@ -386,7 +385,7 @@ class FieldValue:
         return result
 
     def __sub__(self, other: "FieldValue") -> "FieldValue":
-        if type(other) is not FieldValue and not isinstance(other, FieldValue):
+        if not isinstance(other, FieldValue):
             return NotImplemented
         d = self.descriptor
         if other.descriptor is not d:
@@ -407,7 +406,7 @@ class FieldValue:
         return result
 
     def __mul__(self, other: "FieldValue") -> "FieldValue":
-        if type(other) is not FieldValue and not isinstance(other, FieldValue):
+        if not isinstance(other, FieldValue):
             return NotImplemented
         d = self.descriptor
         if other.descriptor is not d:
@@ -428,7 +427,7 @@ class FieldValue:
         return result
 
     def __truediv__(self, other: "FieldValue") -> "FieldValue":
-        if type(other) is not FieldValue and not isinstance(other, FieldValue):
+        if not isinstance(other, FieldValue):
             return NotImplemented
         d = self.descriptor
         if other.descriptor is not d:

@@ -22,7 +22,7 @@ from .fastsubres import (
     _credit_ratio_chain,
     _factorial_ratio_ints,
 )
-from .field import FieldDescriptor, FieldValue, binary_pow, credit_ops
+from .field import FieldDescriptor, FieldValue, _new, binary_pow, credit_ops
 
 __all__ = [
     "DensePoly",
@@ -172,7 +172,7 @@ def _poly(descriptor: FieldDescriptor, coeffs: list) -> DensePoly:
     coefficients, FieldValues of descriptor already, are not re-checked."""
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
-    poly = object.__new__(DensePoly)
+    poly = _new(DensePoly)
     poly.descriptor = descriptor
     poly.coeffs = tuple(coeffs)
     return poly

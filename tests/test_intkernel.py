@@ -397,8 +397,8 @@ def test_factorial_ratio_matches_math_factorial(numerator, denominator):
 
 
 def test_factorial_ratio_over_q_is_a_canonical_payload():
-    # num and den come out coprime, so a ratio that is not an integer is
-    # Fraction(num, den) as it stands, and an integer one a plain int
+    # over Q the payload is canonical: a Fraction for a ratio that is not
+    # an integer, a plain int for one that is
     five_sixths = factorial_ratio([range(5, 6)], [range(3, 5)], Q)  # 5! / (3! 4!)
     assert type(five_sixths.payload) is Fraction
     assert five_sixths.payload == Fraction(5, 6)
